@@ -58,7 +58,11 @@ def test_e1_integrity_under_reconfiguration_schedule(benchmark):
     """Repeatedly insert/remove/reorder while data flows; nothing may be lost."""
 
     def run_schedule():
-        control, sink = build_live_stream(pacing_s=0.0003)
+        # The stream must outlive the 1-s schedule: pacing is an absolute
+        # schedule, so 3000 chunks at 0.5 ms take at least 1.5 s.  (A splice
+        # racing the stream's natural end fails by design — there is no
+        # stream left to splice into.)
+        control, sink = build_live_stream(pacing_s=0.0005)
         operations = 0
         deadline = time.monotonic() + 1.0
         while time.monotonic() < deadline and control.source.running:

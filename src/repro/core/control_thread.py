@@ -16,13 +16,16 @@ The insertion algorithm mirrors the paper's ``add()`` excerpt::
     RightFilter.DIS.reconnect(F.DOS);
     F.start();
     V.insertElement(F, pos);
+
+except that ``F`` is started while the left DOS is still paused, and its
+output is reconnected before its input (see :meth:`ControlThread.add`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Union
 
 from ..obs.events import (
     EVENT_SPLICE_INSERT,
@@ -243,26 +246,36 @@ class ControlThread:
 
     # ------------------------------------------------------------- composition
 
-    def add(self, filter_obj: Filter, position: Optional[int] = None,
+    def add(self, filter_obj: Union[Filter, Iterable[Filter]],
+            position: Optional[int] = None,
             boundary: Optional[Callable[[bytes], bool]] = None,
             timeout: Optional[float] = None) -> int:
         """Insert ``filter_obj`` into the running stream.
 
-        ``position`` is the index in the Filter Vector (0 = immediately
-        after the source); the default appends just before the sink.  When
-        ``boundary`` is given, the upstream element is first asked to hold
-        at the next unit satisfying the predicate so the new filter starts
-        at a stream-type-specific boundary (Section 3 of the paper).
+        ``filter_obj`` is one filter, or a sequence of them (a list, or the
+        paper's :class:`~repro.core.filter.FilterContainer`) spliced in as
+        one sub-chain under a single pause, so no unit ever sees half of
+        it.  ``position`` is the index in the Filter Vector (0 =
+        immediately after the source); the default appends just before
+        the sink.  When ``boundary`` is given, the upstream element is
+        first asked to hold at the next unit satisfying the predicate so
+        the new filters start at a stream-type-specific boundary (Section
+        3 of the paper).
 
-        Returns the position at which the filter was inserted.
+        Returns the position at which the (first) filter was inserted.
         """
         timeout = self.operation_timeout if timeout is None else timeout
-        if filter_obj.running or filter_obj.finished:
-            raise CompositionError(
-                f"filter {filter_obj.name!r} has already been started")
-        if filter_obj.dis.connected or filter_obj.dos.connected:
-            raise CompositionError(
-                f"filter {filter_obj.name!r} is already connected to a stream")
+        filters = ([filter_obj] if isinstance(filter_obj, Filter)
+                   else list(filter_obj))
+        if not filters:
+            raise CompositionError("nothing to insert")
+        for new in filters:
+            if new.running or new.finished:
+                raise CompositionError(
+                    f"filter {new.name!r} has already been started")
+            if new.dis.connected or new.dos.connected:
+                raise CompositionError(
+                    f"filter {new.name!r} is already connected to a stream")
         with self._lock:
             self._ensure_not_shutdown()
             if position is None:
@@ -272,7 +285,7 @@ class ControlThread:
                     f"insert position {position} outside [0, {len(self._filters)}]")
             if not self._started:
                 # Static composition: the chain is wired when start() runs.
-                self._filters.insert(position, filter_obj)
+                self._filters[position:position] = filters
                 return position
             chain = self.elements()
             left = chain[position]
@@ -284,25 +297,39 @@ class ControlThread:
                 # the predicate is cleared again in the finally block below.
                 left.hold_at_boundary(boundary, timeout=timeout)
 
+            started = []
             try:
                 # The paper's protocol: pause the left DOS (the right DIS is
                 # implicitly paused once the buffer drains), then re-splice.
+                # The new filters start while the pipe is paused, so no
+                # thread start sits between the reconnect and whatever the
+                # caller does next; and the new sub-chain's exit is attached
+                # before its entrance, so nothing flows into it — not even
+                # an end-of-stream — before it has somewhere to go.
                 left.dos.pause(drain_timeout=timeout)
-                left.dos.reconnect(filter_obj.dis)
-                filter_obj.dos.reconnect(right.dis)
+                for upstream, downstream in zip(filters, filters[1:]):
+                    upstream.dos.connect(downstream.dis)
+                for new in filters:
+                    self._apply_policy_flags(new)
+                    new.add_activity_listener(self._on_element_activity)
+                    self.engine.start_element(new)
+                    started.append(new)
+                filters[-1].dos.reconnect(right.dis)
+                left.dos.reconnect(filters[0].dis)
             except StreamClosedError as exc:
+                for new in started:
+                    self.engine.stop_element(new)
                 raise CompositionError(
-                    f"cannot insert {filter_obj.name!r}: the stream upstream of "
-                    f"position {position} has already ended ({exc})") from exc
+                    f"cannot insert {filters[0].name!r}: the stream upstream "
+                    f"of position {position} has already ended ({exc})"
+                ) from exc
             finally:
                 if boundary is not None:
                     left.release_hold()
-            self._apply_policy_flags(filter_obj)
-            filter_obj.add_activity_listener(self._on_element_activity)
-            self.engine.start_element(filter_obj)
-            self._filters.insert(position, filter_obj)
-        self._emit_event(EVENT_SPLICE_INSERT, filter=filter_obj.name,
-                         type=filter_obj.type_name, position=position)
+            self._filters[position:position] = filters
+        for offset, new in enumerate(filters):
+            self._emit_event(EVENT_SPLICE_INSERT, filter=new.name,
+                             type=new.type_name, position=position + offset)
         return position
 
     def remove(self, ref: FilterRef, timeout: Optional[float] = None,
@@ -328,7 +355,10 @@ class ControlThread:
 
             if left.dos.closed:
                 # The stream already ended; the filter has seen (or will see)
-                # end-of-stream, so it only needs to be unlinked.
+                # end-of-stream, so it only needs to be unlinked — once it
+                # has forwarded that EOF, which a stop would pre-empt.
+                if filter_obj.dis.buffer.closed_for_writing:
+                    filter_obj.wait_finished(timeout=timeout)
                 self._filters.pop(position)
             elif filter_obj.finished:
                 # The filter's worker has already exited (it crashed or was

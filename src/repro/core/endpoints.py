@@ -20,13 +20,7 @@ from itertools import repeat as _repeat
 from time import monotonic as _monotonic
 from typing import Callable, Iterable, Iterator, List, Optional
 
-from ..streams import (
-    BrokenStreamError,
-    FrameDecoder,
-    NotConnectedError,
-    StreamClosedError,
-    encode_frame,
-)
+from ..streams import FrameDecoder, encode_frame
 from .filter import Filter
 
 #: Infinite second argument for ``map(isinstance, items, ...)`` — the
@@ -62,12 +56,14 @@ class SourceEndPoint(EndPoint):
     #: than a sleeping thread.
     cooperative_capable = False
 
-    #: Whether ``produce`` returns without ever blocking *in the threaded
-    #: run loop as well*.  Only such sources may accumulate a multi-item
-    #: batch before writing: a blocking source would stall in ``produce``
-    #: while already-produced items sit undelivered in the batch.  (This is
-    #: stricter than ``cooperative_capable`` — a transport source polls
-    #: non-blockingly when cooperative but blocks in its dedicated thread.)
+    #: Whether ``produce`` returns without ever blocking *on a dedicated
+    #: thread as well*.  A pump step draws a whole budget of items only
+    #: from a source that is pumped cooperatively or declares this: a
+    #: blocking source would stall in ``produce`` while already-produced
+    #: items sit undelivered, so on its own thread it moves one item per
+    #: step.  (This is stricter than ``cooperative_capable`` — a transport
+    #: source polls non-blockingly when cooperative but blocks in its
+    #: dedicated thread.)
     produce_nonblocking = False
 
     def __init__(self, name: Optional[str] = None, frame_output: bool = False,
@@ -91,7 +87,7 @@ class SourceEndPoint(EndPoint):
     def produce_many(self, max_items: int) -> Optional[List[bytes]]:
         """Produce up to ``max_items`` items in one call, or None.
 
-        Returning None (the default) makes the run loop accumulate its
+        Returning None (the default) makes the pump step accumulate its
         batch through per-item :meth:`produce` calls.  Sources whose
         backlog is indexable (:class:`IterableSource` over a materialised
         list) override this so a whole batch is drawn as one slice.  A
@@ -108,128 +104,33 @@ class SourceEndPoint(EndPoint):
             return item  # queued by reference, per the buffer's contract
         return bytes(item)
 
-    def _deliver_batch(self, batch: List[bytes], last_item: bytes) -> None:
-        """Write an accumulated batch downstream with per-batch accounting."""
-        self.dos.write_many(batch)
-        self._last_emitted = last_item
-        self.items_produced += len(batch)
-        self.stats.record_output_batch(
-            sum(map(len, batch)), len(batch),
-            packets=len(batch) if self.frame_output else 0)
-        self._notify_activity()
+    def _encode_many(self, items: List[bytes]) -> List[bytes]:
+        """The wire forms of a bulk-drawn slice; empty items are skipped."""
+        if self.frame_output:
+            return [encode_frame(item) for item in items if len(item)]
+        if (all(map(isinstance, items, _REPEAT_BYTES_LIKE))
+                and 0 not in map(len, items)):
+            return items  # the dominant case: queued as-is, at C speed
+        return [item if isinstance(item, (bytes, bytearray, memoryview))
+                else bytes(item) for item in items if len(item)]
 
-    def _run(self) -> None:  # replaces the read loop: sources have no input
-        try:
-            self.on_start()
-            # Only a never-blocking, unpaced source may accumulate a batch
-            # before writing; this part of the decision is static, so the
-            # hold check below is only paid when batching is possible.
-            batch_capable = (not self.pacing_s and self.pump_budget > 1
-                             and self.produce_nonblocking)
-            exhausted = False
-            while not self._stop_event.is_set() and not exhausted:
-                item = self.produce()
-                if item is None:
-                    break
-                if not item:
-                    continue
-                if batch_capable:
-                    with self._hold_lock:
-                        hold_armed = self._boundary_predicate is not None
-                else:
-                    hold_armed = True  # forces the per-item path below
-                if hold_armed:
-                    data = self._encode(item)
-                    # Hold on the wire unit; _boundary_unit unwraps the
-                    # framing so predicates see the produced item, as in
-                    # cooperative mode.
-                    self._maybe_hold(data)
-                    self.dos.write(data)
-                    self._last_emitted = item
-                    self.items_produced += 1
-                    self.stats.record_output(len(data),
-                                             packets=1 if self.frame_output else 0)
-                    self._notify_activity()
-                    if self.pacing_s:
-                        self._stop_event.wait(self.pacing_s)
-                    continue
-                # Unpaced, unheld bulk path: accumulate up to a budget of
-                # items and deliver them in one batched write, so the DOS
-                # lock and the downstream wakeup are paid once per batch.
-                batch = [self._encode(item)]
-                last_item = item
-                try:
-                    more = (self.produce_many(self.pump_budget - 1)
-                            if self.pump_budget > 1 else None)
-                    if more is not None:
-                        # Bulk draw: encode the slice in one pass (empty
-                        # items are skipped, as per-item draws do).  The
-                        # dominant all-bytes case extends at C speed.
-                        if more:
-                            last_item = more[-1]
-                            if self.frame_output:
-                                batch.extend(encode_frame(i)
-                                             for i in more if len(i))
-                            elif (all(map(isinstance, more, _REPEAT_BYTES_LIKE))
-                                  and 0 not in map(len, more)):
-                                batch.extend(more)
-                            else:
-                                batch.extend(
-                                    i if isinstance(i, (bytes, bytearray,
-                                                        memoryview))
-                                    else bytes(i)
-                                    for i in more if len(i))
-                    else:
-                        while (len(batch) < self.pump_budget
-                               and not self._stop_event.is_set()):
-                            item = self.produce()
-                            if item is None:
-                                exhausted = True
-                                break
-                            if not item:
-                                break
-                            batch.append(self._encode(item))
-                            last_item = item
-                except Exception:
-                    # produce() failing mid-batch must not discard the items
-                    # before it — the per-item path delivered each of those
-                    # before erroring, and so do we.
-                    try:
-                        self._deliver_batch(batch, last_item)
-                    except Exception:  # noqa: BLE001 - keep the original error
-                        pass
-                    raise
-                self._deliver_batch(batch, last_item)
-            if not self._stop_event.is_set() and self.propagate_eof:
-                self._close_output()
-        except (StreamClosedError, BrokenStreamError, NotConnectedError) as exc:
-            self.error = exc
-            self.stats.record_error()
-        except Exception as exc:  # noqa: BLE001 - surfaced via self.error
-            self.error = exc
-            self.stats.record_error()
-            self._close_output()
-        finally:
-            try:
-                self.on_stop()
-            finally:
-                self._finished.set()
-                self._notify_activity()
-
-    # ------------------------------------------------------ cooperative pump
+    # -------------------------------------------------------------- pump step
 
     def _pump_input(self, progress: bool) -> bool:
         """The source variant of a pump step: produce and emit items.
 
-        Only used when a subclass declares ``cooperative_capable = True``
-        (its ``produce`` must never block).  Pacing is honoured through
-        :meth:`next_due_s` — the engine simply does not pump the source
-        again until the deadline — so a paced source costs a timer entry
-        instead of a sleeping thread.
+        Pacing is honoured through :meth:`next_due_s` — an engine does not
+        pump the source again until the deadline, and a dedicated thread
+        sleeps until it — so a paced cooperative source costs a timer
+        entry instead of a sleeping thread.
 
-        An unpaced source produces up to a budget of items per step and
-        flushes them as one batch, so scheduler round-trips amortize; a
-        paced source still moves one item per deadline.
+        An unpaced source that never blocks (cooperative, or
+        ``produce_nonblocking``) produces up to a budget of items per step
+        — one :meth:`produce_many` slice when the backlog is indexable —
+        and flushes them as one batch, so round-trips amortize.  A paced
+        source moves one item per deadline, and a blocking source on its
+        own thread one item per step, so nothing it produced waits behind
+        its next blocking ``produce``.
         """
         if self.pacing_s and _monotonic() < self._next_due:
             if progress:
@@ -237,23 +138,31 @@ class SourceEndPoint(EndPoint):
                 # ourselves so the next round parks us on the timer.
                 self._notify_engine()
             return progress
-        budget = 1 if self.pacing_s else self.pump_budget
-        queued = False
-        for _ in range(budget):
-            item = None if self._exhausted else self.produce()
-            if item is None:
-                self._exhausted = True
-                break
-            if not item:
-                break  # nothing available right now (cooperative receivers)
-            self._pending.append(self._encode(item))
-            queued = True
-        if queued:
+        pending = self._pending
+        item = None if self._exhausted else self.produce()
+        if item is None:
+            self._exhausted = True
+        elif item:
+            pending.append(self._encode(item))
+            if (not self.pacing_s and self.pump_budget > 1
+                    and (self._cooperative or self.produce_nonblocking)):
+                more = self.produce_many(self.pump_budget - 1)
+                if more is not None:
+                    pending.extend(self._encode_many(more))
+                else:
+                    for _ in range(self.pump_budget - 1):
+                        item = self.produce()
+                        if item is None:
+                            self._exhausted = True
+                            break
+                        if not item:
+                            break  # nothing available right now
+                        pending.append(self._encode(item))
             self._flush_pending()
-        if self._exhausted and not self._pending:
-            if self.propagate_eof:
-                self._close_output()
-            self._complete()
+        if self._exhausted and not pending:
+            # produce() also returns None when a stop interrupts a blocking
+            # read; _end_stream never closes the stream of a stopped source.
+            self._end_stream()
             return True
         self._notify_engine()  # stay scheduled until exhausted
         return True
@@ -272,7 +181,6 @@ class SourceEndPoint(EndPoint):
         return None
 
     def _record_emit(self, data: bytes) -> None:
-        self._last_emitted = self._boundary_unit(data)
         self.items_produced += 1
         self.stats.record_output(len(data),
                                  packets=1 if self.frame_output else 0)
@@ -285,10 +193,15 @@ class SourceEndPoint(EndPoint):
             self._next_due = base + self.pacing_s
 
     def _record_emit_batch(self, batch) -> None:
-        # Per-unit, not per-batch: each emit advances the pacing deadline
-        # and the produced-item count, which must stay unit-exact.
-        for data in batch:
-            self._record_emit(data)
+        if self.pacing_s:
+            # Per-unit: each emit advances the pacing deadline.
+            for data in batch:
+                self._record_emit(data)
+            return
+        self.items_produced += len(batch)
+        self.stats.record_output_batch(
+            sum(map(len, batch)), len(batch),
+            packets=len(batch) if self.frame_output else 0)
 
     def _boundary_unit(self, unit: bytes) -> bytes:
         """Boundary predicates see the produced item, not its framing."""
@@ -305,9 +218,10 @@ class IterableSource(SourceEndPoint):
 
     type_name = "iterable-source"
 
-    #: Iterating is assumed non-blocking, so the event engine can pump this
-    #: source cooperatively — N paced streams need no N sleeping threads —
-    #: and the threaded run loop can batch items before writing.
+    #: Iterating is assumed non-blocking, so the cooperative engines pump
+    #: this source from their scheduler — N paced streams need no N
+    #: sleeping threads — and on a dedicated thread it still draws a whole
+    #: budget of items per pump step.
     cooperative_capable = True
     produce_nonblocking = True
 
@@ -363,10 +277,11 @@ class SocketSource(SourceEndPoint):
     Accepts a connected TCP ``socket.socket`` or any transport-layer
     :class:`~repro.transport.base.StreamConnection` — the endpoint is built
     on the latter; a raw socket is wrapped on the way in.  ``recv_timeout``
-    bounds each blocking read (it exists so the worker can observe a stop
-    request, not for liveness): peer close is end-of-stream the moment it
-    happens, and :meth:`stop` half-closes the reading side so a parked
-    ``recv`` returns immediately instead of burning out its poll cycle.
+    bounds each blocking read (it exists so the source's thread can observe
+    a stop request, not for liveness): peer close is end-of-stream the
+    moment it happens, and :meth:`stop` half-closes the reading side so a
+    parked ``recv`` returns immediately instead of burning out its poll
+    cycle.
     """
 
     type_name = "socket-source"
@@ -397,7 +312,7 @@ class SocketSource(SourceEndPoint):
         return None
 
     def stop(self, timeout: float = 5.0) -> None:
-        # Unblock a worker parked in recv() before joining it, so stopping
+        # Unblock a thread parked in recv() before joining it, so stopping
         # costs one wakeup rather than a full recv_timeout poll cycle.
         self._stop_event.set()
         unblock = getattr(self._conn, "unblock", None)

@@ -6,9 +6,9 @@ instance of DIS and DOS that are always present.  The ControlThread uses the
 DIS and DOS to manipulate the stream connections."  This module provides the
 Python equivalents:
 
-* :class:`Filter` — a byte-oriented filter running in its own thread.  Data
-  read from the filter's DIS is passed to :meth:`Filter.transform`; whatever
-  the transform returns is written to the filter's DOS.
+* :class:`Filter` — a byte-oriented filter.  Data read from the filter's
+  DIS is passed to :meth:`Filter.transform`; whatever the transform returns
+  is written to the filter's DOS.
 * :class:`PacketFilter` — a filter operating on framed packets (see
   :mod:`repro.streams.framing`); FEC encoders/decoders and media transcoders
   subclass this.
@@ -20,12 +20,13 @@ asked to *hold* at the next stream boundary (:meth:`Filter.hold_at_boundary`)
 and to *quiesce* (finish processing everything already delivered to it)
 before it is removed from a chain.
 
-Execution is pluggable (see :mod:`repro.runtime`): the pure pump step —
-read available input, transform it, emit the results, honouring boundary
-holds — is factored into :meth:`Filter.pump`, which an event-driven engine
-invokes from a single scheduler thread whenever the filter's DIS reports
-readiness; the classic thread-per-filter worker loop (:meth:`Filter._run`)
-remains as the reference execution mode used by ``filter.start()``.
+Execution is pluggable (see :mod:`repro.runtime`), but a filter has one
+execution path: the non-blocking pump step (:meth:`Filter.pump`) — read
+available input, transform it, emit the results, honouring boundary holds.
+:meth:`Filter.readiness` decides when a step would make progress.  The
+cooperative engines call both from a shared scheduler thread; a filter
+started with :meth:`Filter.start` gets a dedicated thread that loops the
+same step and sleeps on the same readiness signals in between.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from ..streams import (
     FrameDecoder,
     NotConnectedError,
     StreamClosedError,
-    StreamTimeoutError,
     encode_frame,
 )
 from .errors import FilterStateError
@@ -63,6 +63,23 @@ BoundaryPredicate = Callable[[bytes], bool]
 #: (not def-time) so tests can pin the unbatched path.
 DEFAULT_PUMP_BUDGET = 64
 
+#: Verdicts of :meth:`Filter.readiness`: why a pump step would, or would
+#: not, make progress right now.
+READY = "ready"        # pump now
+IDLE = "idle"          # nothing to do until a notification or next_due_s()
+HELD = "held"          # parked at a boundary until release_hold()
+DETACHED = "detached"  # output parked while the DOS is detached mid-splice
+FULL = "full"          # input wanted, but the downstream buffer is full
+
+#: Longest a dedicated thread sleeps between readiness checks.  Every state
+#: change that can make a filter ready sets its wake event, so this is a
+#: lost-wakeup safety net, not a polling interval.
+_IDLE_WAIT_S = 0.5
+
+#: Longest a dedicated thread waits for room in a full downstream buffer
+#: before re-checking readiness (a stop request does not signal the buffer).
+_ROOM_WAIT_S = 0.05
+
 _name_lock = threading.Lock()
 _name_counter = 0
 
@@ -75,11 +92,12 @@ def _auto_name(prefix: str) -> str:
 
 
 class Filter:
-    """A byte-stream filter with its own DIS, DOS, and worker thread.
+    """A byte-stream filter with its own DIS and DOS.
 
     Lifecycle: construct → (ControlThread connects the DIS/DOS) →
-    :meth:`start` → worker thread loops reading, transforming, writing →
-    end-of-stream or :meth:`stop`.
+    :meth:`start` (a dedicated thread) or :meth:`bind_engine` (a shared
+    scheduler) → repeated :meth:`pump` steps → end-of-stream or
+    :meth:`stop`.
 
     Subclasses usually override only :meth:`transform` (per input chunk) and
     optionally :meth:`finalize` (to emit trailing output at end-of-stream)
@@ -90,16 +108,14 @@ class Filter:
     type_name = "filter"
 
     #: Whether this element can be pumped cooperatively from a shared
-    #: scheduler thread.  Elements that perform blocking external I/O in
-    #: their run loop (source endpoints, socket sinks) set this to False and
-    #: always get a dedicated thread, whatever the execution engine.
+    #: scheduler thread.  Elements whose pump step blocks on external I/O
+    #: (source endpoints, socket sinks) set this to False and always get a
+    #: dedicated thread, whatever the execution engine.
     cooperative_capable = True
 
-    def __init__(self, name: Optional[str] = None, read_timeout: float = 0.05,
-                 chunk_size: int = 8192, propagate_eof: bool = True,
+    def __init__(self, name: Optional[str] = None, chunk_size: int = 8192,
+                 propagate_eof: bool = True,
                  pump_budget: Optional[int] = None) -> None:
-        if read_timeout <= 0:
-            raise ValueError("read_timeout must be positive")
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         if pump_budget is None:
@@ -107,7 +123,6 @@ class Filter:
         if pump_budget <= 0:
             raise ValueError("pump_budget must be positive")
         self.name = name or _auto_name(self.type_name)
-        self.read_timeout = read_timeout
         self.chunk_size = chunk_size
         self.pump_budget = pump_budget
         self.propagate_eof = propagate_eof
@@ -133,21 +148,28 @@ class Filter:
         self.error: Optional[BaseException] = None
 
         self._thread: Optional[threading.Thread] = None
+        # Set by every readiness notification while the filter runs on a
+        # dedicated thread; the thread sleeps on it between pump steps.
+        self._wake = threading.Event()
         self._stop_event = threading.Event()
         self._finished = threading.Event()
         self._started = False
         self._busy = False
 
-        # Cooperative (event-engine) execution state.
+        # Pump state: the engine (None on a dedicated thread) and output
+        # emitted but not yet delivered (boundary hold, mid-splice detach).
         self._engine = None
         self._cooperative = False
         self._pending: Deque[bytes] = deque()
         self._on_start_done = False
         self._finalized = False
+        # End-of-stream reached while the DOS was paused for a splice: the
+        # close waits, like parked output, for the reattach.
+        self._eof_parked = False
 
         # Scratch counters written by transform_chunks as it consumes input,
-        # read by the run loop / pump in a ``finally`` so mid-batch errors
-        # account only the chunks actually handed to the transform.
+        # read by the pump in a ``finally`` so mid-batch errors account only
+        # the chunks actually handed to the transform.
         self._batch_in_bytes = 0
         self._batch_in_chunks = 0
 
@@ -189,14 +211,14 @@ class Filter:
 
     @property
     def running(self) -> bool:
-        """True while the filter is executing (worker thread or engine)."""
+        """True while the filter is executing (own thread or engine)."""
         if self._thread is not None:
             return self._thread.is_alive()
         return self._cooperative and not self._finished.is_set()
 
     @property
     def finished(self) -> bool:
-        """True once the run loop has exited (EOF, stop, or error)."""
+        """True once the filter has completed (EOF, stop, or error)."""
         return self._finished.is_set()
 
     @property
@@ -217,15 +239,18 @@ class Filter:
     # -------------------------------------------------------------- lifecycle
 
     def start(self) -> "Filter":
-        """Start the worker thread.  A filter can be started only once.
+        """Run the filter on a dedicated thread.  A filter starts only once.
 
-        This is the thread-per-filter reference mode; an execution engine
-        (see :mod:`repro.runtime`) may instead take ownership of the filter
-        with :meth:`bind_engine` and drive it via :meth:`pump`.
+        The thread loops :meth:`pump` and sleeps on the filter's readiness
+        signals in between; an execution engine (see :mod:`repro.runtime`)
+        may instead take ownership with :meth:`bind_engine` and pump the
+        filter from a shared scheduler.
         """
         if self._started:
             raise FilterStateError(f"{self.name}: already started")
         self._started = True
+        self.dis.subscribe(self._notify_engine)
+        self.dos.subscribe(self._notify_engine)
         self._thread = threading.Thread(target=self._run, name=self.name,
                                         daemon=True)
         self._thread.start()
@@ -249,7 +274,7 @@ class Filter:
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
-        """Ask the run loop to exit and wait for it.
+        """Ask the filter to complete and wait for it.
 
         Stopping does *not* close the filter's streams (the ControlThread
         re-splices them); stopping a never-started filter is a no-op.
@@ -263,7 +288,7 @@ class Filter:
             self._finished.wait(timeout=timeout)
 
     def join(self, timeout: Optional[float] = None) -> bool:
-        """Wait for the filter's run loop to finish; True if it did."""
+        """Wait for the filter to finish; True if it did."""
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             return not self._thread.is_alive()
@@ -272,7 +297,7 @@ class Filter:
         return True
 
     def wait_finished(self, timeout: Optional[float] = None) -> bool:
-        """Wait until the filter's run loop has completed."""
+        """Wait until the filter has completed."""
         return self._finished.wait(timeout=timeout)
 
     def abandon(self, error: BaseException) -> None:
@@ -301,9 +326,9 @@ class Filter:
                          timeout: Optional[float] = None) -> bool:
         """Pause this filter's *output* at the next stream boundary.
 
-        The worker thread keeps processing until it is about to emit a unit
-        for which ``predicate`` returns True (with no predicate, the very
-        next unit), then blocks *before* emitting it until
+        The filter keeps processing until it is about to emit a unit for
+        which ``predicate`` returns True (with no predicate, the very next
+        unit), then parks that unit *before* emitting it until
         :meth:`release_hold` is called.  The downstream side therefore ends
         exactly at the boundary, and the unit that satisfied the predicate is
         the first thing delivered to whatever the stream is reconnected to.
@@ -313,10 +338,9 @@ class Filter:
         insert the video FEC filter so that it starts at an I frame").
 
         Units already handed to a batched delivery when the hold is armed
-        still cross (up to one ``pump_budget`` of them; previously the
-        in-flight window was a single unit), so predicates should match
-        *recurring* boundaries — the next I frame, the next packet start —
-        rather than one specific unit.  The composition protocol already
+        still cross (up to one ``pump_budget`` of them), so predicates
+        should match *recurring* boundaries — the next I frame, the next
+        packet start — rather than one specific unit.  The composition protocol already
         tolerates this: a hold that never engages times out here and the
         caller proceeds with an unaligned splice.
         """
@@ -352,7 +376,10 @@ class Filter:
         encoder is still filling — is pushed downstream rather than lost.
         The upstream side must already be paused and the filter quiescent.
         """
-        self._emit(self.finalize())
+        units = self._normalize_outputs(self.finalize())
+        if units:
+            self.dos.write_many(units)
+            self._record_emit_batch(units)
 
     def quiesce(self, timeout: float = 5.0, poll_interval: float = 0.005) -> bool:
         """Wait until every byte already delivered to the filter has been
@@ -402,93 +429,62 @@ class Filter:
         return None
 
     def on_start(self) -> None:
-        """Hook invoked in the worker thread before the read loop."""
+        """Hook invoked by the first pump step, before any input is read."""
 
     def on_stop(self) -> None:
-        """Hook invoked in the worker thread after the read loop."""
+        """Hook invoked once when the filter completes."""
 
-    # -------------------------------------------------------------- main loop
+    # ------------------------------------------------------ dedicated thread
 
     def _run(self) -> None:
+        """The :meth:`start` thread: loop :meth:`pump`, sleeping on readiness.
+
+        Between steps the thread waits on the wake event that every
+        readiness notification sets; gated on a full downstream buffer, it
+        waits on that buffer's room instead.  The wake event is cleared
+        *before* readiness is checked, so a notification can never fall
+        between the check and the wait.
+        """
+        wake = self._wake
         try:
-            self.on_start()
-            self._read_loop()
-            if not self._stop_event.is_set():
-                self._emit(self.finalize())
-                if self.propagate_eof:
-                    self._close_output()
-        except (StreamClosedError, BrokenStreamError, NotConnectedError) as exc:
-            # The chain was torn down around us; record and exit quietly.
-            self.error = exc
-            self.stats.record_error()
+            while not self._finished.is_set():
+                wake.clear()
+                verdict = self.readiness()
+                if verdict == READY:
+                    self.pump()
+                elif verdict == FULL:
+                    sink = self.dos.sink
+                    if sink is not None:
+                        sink.buffer.wait_for_room(_ROOM_WAIT_S)
+                else:
+                    due = self.next_due_s()
+                    wake.wait(_IDLE_WAIT_S if due is None else
+                              min(_IDLE_WAIT_S, max(due - _monotonic(), 0.0)))
         except Exception as exc:  # noqa: BLE001 - surfaced via self.error
             self.error = exc
             self.stats.record_error()
-            self._close_output_after_error()
         finally:
-            try:
-                self.on_stop()
-            finally:
-                self._finished.set()
-                self._notify_activity()
+            self._complete()
 
-    def _read_loop(self) -> None:
-        # The byte budget is chunk_size * pump_budget, but queued chunks are
-        # taken *whole* (no max_chunk): transforms are size-agnostic, and
-        # re-fragmenting a large upstream chunk to the local chunk_size cost
-        # a per-piece loop at every hop for nothing — it was the E6 64 KiB
-        # regression.  chunk_size sizes the budget; the writer's own chunk
-        # boundaries are the transform units.
-        budget_bytes = self.chunk_size * self.pump_budget
-        while not self._stop_event.is_set():
-            try:
-                chunks = self.dis.read_chunks(budget_bytes,
-                                              timeout=self.read_timeout)
-            except StreamTimeoutError:
-                continue
-            if not chunks:
-                return  # end of stream
-            self._busy = True
-            try:
-                outputs: List[bytes] = []
-                self._batch_in_bytes = self._batch_in_chunks = 0
-                try:
-                    self.transform_chunks(chunks, outputs)
-                except Exception:
-                    # A transform failing mid-batch must not discard the
-                    # outputs of the chunks before it — the per-chunk loop
-                    # delivered those before erroring, and so do we.
-                    try:
-                        self._emit_units(outputs)
-                    except Exception:  # noqa: BLE001 - keep the original error
-                        pass
-                    raise
-                finally:
-                    self.stats.record_input_batch(self._batch_in_bytes,
-                                                  self._batch_in_chunks)
-                    if self._batch_in_chunks >= self.pump_budget:
-                        self.stats.record_budget_exhausted()
-                self._emit_units(outputs)
-            finally:
-                self._busy = False
-                self._notify_activity()
-
-    # ------------------------------------------------------- cooperative pump
+    # ------------------------------------------------------------------ pump
 
     def pump(self) -> bool:
-        """Run one bounded execution step (the event-engine entry point).
+        """Run one bounded execution step — the only way a filter runs.
 
         One step: flush any output parked by a boundary hold or a mid-splice
         detach, then drain up to a ``pump_budget`` of available input
         chunks, transform each and emit the combined results; at
-        end-of-stream, finalize and complete.  The
-        step never blocks — output is delivered with the non-blocking
-        ``DOS.try_write`` and input is read only when the DIS reports bytes
-        available — so any number of filters can be pumped from a single
-        scheduler thread.  Returns True when the step made progress.
+        end-of-stream, finalize and complete.  A filter step never blocks —
+        output is delivered with the non-blocking ``DOS.try_write`` and
+        input is read only when the DIS reports bytes available — so any
+        number of filters can be pumped from a single scheduler thread.
+        (A source's step may block inside ``produce`` when it runs on its
+        own thread.)  Returns True when the step made progress.
 
-        Errors are handled exactly as in the threaded run loop: recorded on
-        :attr:`error`, counted in stats, and the filter completes.
+        Errors are recorded on :attr:`error` and counted in stats; outputs
+        of the chunks before a failing one are still delivered, the output
+        is closed (see :attr:`close_output_on_error`), and the filter
+        completes.
         """
         if self._finished.is_set():
             return False
@@ -498,8 +494,8 @@ class Filter:
                 self.on_start()
             progress = self._flush_pending()
             if self._stop_event.is_set():
-                # Stop wins over parked output, as in the threaded teardown
-                # path: the chain around us is being dismantled.
+                # Stop wins over parked output: the chain around us is
+                # being dismantled.
                 self._complete()
                 return True
             if self._pending:
@@ -531,29 +527,37 @@ class Filter:
 
         One step drains up to ``pump_budget`` queued chunks in a single
         buffer lock round-trip, transforms each, and flushes the combined
-        output — so the scheduler's dirty-set and wakeup overhead
-        amortizes across the batch instead of recurring per chunk.
+        output — so lock, wakeup and scheduler costs amortize across the
+        batch instead of recurring per chunk.
+
+        The byte budget is ``chunk_size * pump_budget``, but queued chunks
+        are taken *whole*: transforms are size-agnostic, and re-fragmenting
+        a large upstream chunk to the local chunk_size would cost a
+        per-piece loop at every hop for nothing.
         """
         if self.dis.available() > 0:
-            # Whole queued chunks, no re-fragmentation — see _read_loop.
-            chunks = self.dis.read_chunks(self.chunk_size * self.pump_budget,
-                                          timeout=0)
+            # Busy from before the read: a quiesce must never see the batch
+            # neither queued in the DIS nor held by the filter.
+            self._busy = True
+            try:
+                chunks = self.dis.read_chunks(
+                    self.chunk_size * self.pump_budget, timeout=0)
+                if chunks:
+                    self._batch_in_bytes = self._batch_in_chunks = 0
+                    try:
+                        # Appending straight onto the pending deque means a
+                        # transform failing mid-batch leaves the earlier
+                        # chunks' outputs parked there, and pump()'s error
+                        # handler flushes them downstream before closing.
+                        self.transform_chunks(chunks, self._pending)
+                    finally:
+                        self.stats.record_input_batch(self._batch_in_bytes,
+                                                      self._batch_in_chunks)
+                        if self._batch_in_chunks >= self.pump_budget:
+                            self.stats.record_budget_exhausted()
+            finally:
+                self._busy = False
             if chunks:
-                self._busy = True
-                self._batch_in_bytes = self._batch_in_chunks = 0
-                try:
-                    # Appending straight onto the pending deque means a
-                    # transform failing mid-batch leaves the earlier chunks'
-                    # outputs parked there, and pump()'s error handler
-                    # flushes them downstream before closing — the same
-                    # partial-delivery contract as the threaded loop.
-                    self.transform_chunks(chunks, self._pending)
-                finally:
-                    self.stats.record_input_batch(self._batch_in_bytes,
-                                                  self._batch_in_chunks)
-                    if self._batch_in_chunks >= self.pump_budget:
-                        self.stats.record_budget_exhausted()
-                    self._busy = False
                 self._flush_pending()
                 return True
         if self.dis.at_eof():
@@ -562,11 +566,25 @@ class Filter:
                 self._queue_outputs(self.finalize())
             self._flush_pending()
             if not self._pending:
-                if self.propagate_eof:
-                    self._close_output()
-                self._complete()
+                self._end_stream()
             return True
         return progress
+
+    def _end_stream(self) -> None:
+        """Propagate end-of-stream (when configured) and complete.
+
+        A DOS paused mid-splice defers the close: end-of-stream must reach
+        the partner the splice reconnects, not the one it takes away, so
+        the filter parks it until the reattach notification.
+        """
+        if self.propagate_eof and not self._stop_event.is_set():
+            try:
+                if not self.dos.try_close():
+                    self._eof_parked = True
+                    return
+            except Exception:  # noqa: BLE001 - best effort, as _close_output
+                pass
+        self._complete()
 
     def _close_output_after_error(self) -> None:
         if self.propagate_eof and self.close_output_on_error:
@@ -580,9 +598,10 @@ class Filter:
         """Deliver queued output without blocking; True if any byte moved.
 
         Stops (leaving the remainder queued) when the unit about to be
-        emitted satisfies an armed boundary predicate — the cooperative
-        equivalent of :meth:`_maybe_hold`'s blocking wait — or when the DOS
-        is detached mid-splice (retried on the reattach notification).
+        emitted satisfies an armed boundary predicate, or when the DOS is
+        detached mid-splice (retried on the reattach notification).  While
+        a hold is armed, units go out one at a time so the stream stops
+        exactly at the boundary unit.
         """
         progress = False
         while self._pending:
@@ -616,7 +635,6 @@ class Filter:
 
     def _record_emit(self, data: bytes) -> None:
         """Account for one unit successfully delivered downstream."""
-        self._last_emitted = data
         self.stats.record_output(len(data))
 
     def _record_emit_batch(self, batch: List[bytes]) -> None:
@@ -625,16 +643,43 @@ class Filter:
         Sources override this to keep their per-unit bookkeeping (item
         counts, pacing deadlines) exact.
         """
-        self._last_emitted = batch[-1]
         self.stats.record_output_batch(sum(map(len, batch)), len(batch))
 
     def wants_input_pump(self) -> bool:
         """True when a pump step would have input-side work to do.
 
-        The engine combines this with its own output-side gating (boundary
-        holds, parked output, downstream high-water marks).
+        :meth:`readiness` combines this with the output-side gating
+        (boundary holds, parked output, downstream high-water marks).
         """
         return self.dis.available() > 0 or self.dis.at_eof()
+
+    def readiness(self) -> str:
+        """Whether a pump step would make progress now, and if not, why.
+
+        The one readiness decision every engine uses: the dedicated thread
+        of :meth:`start` and both cooperative schedulers.  Returns
+        :data:`READY` when a stop was requested (stop wins over parked
+        output), when parked output or a parked end-of-stream can move
+        (its DOS is connected), or when input is wanted and the downstream
+        buffer has room; otherwise :data:`HELD`, :data:`DETACHED`,
+        :data:`FULL` or :data:`IDLE`.
+        """
+        if self._stop_event.is_set():
+            return READY
+        if self.held:
+            return HELD
+        if self._pending or self._eof_parked:
+            return READY if self.dos.connected else DETACHED
+        if not self.wants_input_pump():
+            return IDLE
+        dos = self.dos
+        sink = dos.sink
+        if dos.connected and sink is not None:
+            capacity = sink.buffer.capacity
+            if capacity is not None and sink.available() >= capacity:
+                return FULL
+        # A detached DOS is no gate: one transform parks in _pending.
+        return READY
 
     def next_due_s(self) -> Optional[float]:
         """Monotonic deadline of this element's next timed pump, if any.
@@ -646,7 +691,7 @@ class Filter:
         return None
 
     def _complete(self) -> None:
-        """Mark a cooperatively executed filter as finished (idempotent)."""
+        """Mark the filter as finished (idempotent)."""
         if self._finished.is_set():
             return
         try:
@@ -657,9 +702,12 @@ class Filter:
             self._notify_activity()
 
     def _notify_engine(self) -> None:
+        """Signal that this filter's readiness may have changed."""
         engine = self._engine
         if engine is not None:
             engine.notify_element(self)
+        else:
+            self._wake.set()
 
     # ---------------------------------------------------------- activity hook
 
@@ -698,53 +746,6 @@ class Filter:
             outputs = [item if isinstance(item, (bytes, bytearray, memoryview))
                        else bytes(item) for item in result]
         return [data for data in outputs if len(data)]
-
-    def _emit(self, result: TransformResult) -> None:
-        self._emit_units(self._normalize_outputs(result))
-
-    def _emit_units(self, units: List[bytes]) -> None:
-        """Deliver transformed units downstream, batching when possible.
-
-        With no boundary hold armed, the whole batch goes out through one
-        ``DOS.write_many`` — a single lock/connectivity round-trip and a
-        single batch of stats.  While a hold is armed, units are emitted
-        one at a time so :meth:`_maybe_hold` can stop the stream exactly at
-        the boundary unit.  A hold armed mid-batch takes effect from the
-        next batch, whose size is bounded by the pump budget.
-        """
-        if not units:
-            return
-        with self._hold_lock:
-            hold_armed = self._boundary_predicate is not None
-        if not hold_armed and len(units) > 1:
-            self.dos.write_many(units)
-            self._record_emit_batch(units)
-            return
-        for data in units:
-            self._maybe_hold(data)
-            self.dos.write(data)
-            self._record_emit(data)
-
-    def _maybe_hold(self, unit: bytes) -> None:
-        """Honour a pending boundary hold before emitting ``unit``.
-
-        If a hold is armed and the unit about to be emitted satisfies the
-        boundary predicate, the worker blocks here until released; the
-        downstream side is left cleanly cut at the boundary and ``unit``
-        becomes the first thing sent over the new connection.
-        """
-        with self._hold_lock:
-            predicate = self._boundary_predicate
-        if predicate is None:
-            return
-        if not self._unit_matches(predicate, unit):
-            return
-        self._held.set()
-        self._resume.wait()
-        self._held.clear()
-
-    #: The most recently emitted unit (kept for diagnostics and tests).
-    _last_emitted: Optional[bytes] = None
 
     def _boundary_unit(self, unit: bytes) -> bytes:
         """The value handed to boundary predicates for ``unit``.
@@ -803,12 +804,11 @@ class PacketFilter(Filter):
     #: a single vectorised encode/decode over the full pump budget.
     fused_packet_batch = False
 
-    def __init__(self, name: Optional[str] = None, read_timeout: float = 0.05,
-                 chunk_size: int = 65536, propagate_eof: bool = True,
+    def __init__(self, name: Optional[str] = None, chunk_size: int = 65536,
+                 propagate_eof: bool = True,
                  pump_budget: Optional[int] = None) -> None:
-        super().__init__(name=name, read_timeout=read_timeout,
-                         chunk_size=chunk_size, propagate_eof=propagate_eof,
-                         pump_budget=pump_budget)
+        super().__init__(name=name, chunk_size=chunk_size,
+                         propagate_eof=propagate_eof, pump_budget=pump_budget)
         self._decoder = FrameDecoder()
         self._last_packet: Optional[bytes] = None
 

@@ -79,15 +79,16 @@ class IngressSource(_IngressListenerMixin, SourceEndPoint):
 
     The handler pushes payloads with :meth:`push` (non-blocking; refused
     beyond ``max_pending``) and signals client end-of-stream with
-    :meth:`close_input`.  Cooperative engines pump queued items without a
-    thread; under the threaded engine ``produce`` blocks on the internal
-    condition exactly like any other blocking source.
+    :meth:`close_input`.  Both wake the chain side, whichever engine pumps
+    it, so ``produce`` never has to wait.
     """
 
     type_name = "ingress-source"
 
-    #: Cooperative: ``produce`` only pops what the handler already pushed.
+    #: ``produce`` only pops what the handler already pushed, so it never
+    #: blocks: pumped cooperatively, and a whole budget per pump step.
     cooperative_capable = True
+    produce_nonblocking = True
 
     def __init__(self, name: Optional[str] = None, frame_output: bool = False,
                  max_pending: int = DEFAULT_MAX_ITEMS) -> None:
@@ -97,7 +98,7 @@ class IngressSource(_IngressListenerMixin, SourceEndPoint):
         self._init_listeners()
         self.max_pending = max_pending
         self._queue: Deque[bytes] = deque()
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._input_closed = False
 
     # -- the network side (asyncio handler) --------------------------------
@@ -113,33 +114,31 @@ class IngressSource(_IngressListenerMixin, SourceEndPoint):
             raise ValueError("data must be bytes, not None")
         if not data:
             return True
-        with self._cond:
+        with self._lock:
             if self._input_closed or len(self._queue) >= self.max_pending:
                 return False
             self._queue.append(bytes(data))
-            self._cond.notify_all()
         self._notify_engine()
         self._fire_ingress_listeners()
         return True
 
     def close_input(self) -> None:
         """Signal client end-of-stream: the chain finishes after a drain."""
-        with self._cond:
+        with self._lock:
             if self._input_closed:
                 return
             self._input_closed = True
-            self._cond.notify_all()
         self._notify_engine()
         self._fire_ingress_listeners()
 
     def pending_items(self) -> int:
         """Number of pushed payloads not yet consumed by the chain."""
-        with self._cond:
+        with self._lock:
             return len(self._queue)
 
     def has_room(self) -> bool:
         """True when one more :meth:`push` would be accepted."""
-        with self._cond:
+        with self._lock:
             return (not self._input_closed
                     and len(self._queue) < self.max_pending)
 
@@ -151,40 +150,20 @@ class IngressSource(_IngressListenerMixin, SourceEndPoint):
     # -- the chain side (engine) --------------------------------------------
 
     def wants_input_pump(self) -> bool:
-        with self._cond:
+        with self._lock:
             return bool(self._queue) or self._input_closed
 
     def produce(self) -> Optional[bytes]:
-        if self.cooperative:
-            # Never block: a queued payload, EOF, or nothing right now.
-            popped = None
-            with self._cond:
-                if self._queue:
-                    popped = self._queue.popleft()
-                elif self._input_closed:
-                    return None
-            if popped is None:
+        # Never block: a queued payload, EOF, or nothing right now.
+        with self._lock:
+            if self._queue:
+                popped = self._queue.popleft()
+            elif self._input_closed:
+                return None
+            else:
                 return b""
-            self._fire_ingress_listeners()  # room freed: wake the handler
-            return popped
-        while not self._stop_event.is_set():
-            with self._cond:
-                if self._queue:
-                    popped = self._queue.popleft()
-                elif self._input_closed:
-                    return None
-                else:
-                    self._cond.wait(0.1)
-                    continue
-            self._fire_ingress_listeners()
-            return popped
-        return None
-
-    def stop(self, timeout: float = 5.0) -> None:
-        # Unblock a threaded worker parked on the condition before joining.
-        with self._cond:
-            self._cond.notify_all()
-        super().stop(timeout=timeout)
+        self._fire_ingress_listeners()  # room freed: wake the handler
+        return popped
 
 
 class IngressSink(_IngressListenerMixin, SinkEndPoint):
@@ -211,34 +190,21 @@ class IngressSink(_IngressListenerMixin, SinkEndPoint):
         self._init_listeners()
         self.max_buffered = max_buffered
         self._out: Deque[bytes] = deque()
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
 
     # -- the chain side (engine) --------------------------------------------
 
     def wants_input_pump(self) -> bool:
         # Full outbound queue: decline the pump instead of buffering more.
         # pop() re-notifies the engine once the client catches up.
-        with self._cond:
+        with self._lock:
             if len(self._out) >= self.max_buffered:
                 return False
         return super().wants_input_pump()
 
     def consume(self, data: bytes) -> None:
-        if self.cooperative:
-            with self._cond:
-                self._out.append(bytes(data))
-            self._fire_ingress_listeners()
-            return
-        # Threaded engine: this sink owns a thread, so honest blocking
-        # back-pressure is available (stop-aware, like every endpoint).
-        while not self._stop_event.is_set():
-            with self._cond:
-                if len(self._out) < self.max_buffered:
-                    self._out.append(bytes(data))
-                    break
-                self._cond.wait(0.1)
-        else:
-            return
+        with self._lock:
+            self._out.append(bytes(data))
         self._fire_ingress_listeners()
 
     def finalize(self):
@@ -250,22 +216,21 @@ class IngressSink(_IngressListenerMixin, SinkEndPoint):
 
     def pop(self) -> Optional[bytes]:
         """Take one output payload (never blocks); None when none queued."""
-        with self._cond:
+        with self._lock:
             if not self._out:
                 return None
             popped = self._out.popleft()
-            self._cond.notify_all()
         self._notify_engine()  # room freed: resume the pump
         return popped
 
     def buffered_items(self) -> int:
         """Number of output payloads awaiting the client."""
-        with self._cond:
+        with self._lock:
             return len(self._out)
 
     def has_output(self) -> bool:
         """True when :meth:`pop` would return a payload."""
-        with self._cond:
+        with self._lock:
             return bool(self._out)
 
     def drained(self) -> bool:

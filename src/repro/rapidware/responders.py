@@ -244,11 +244,9 @@ class TranscoderResponder(ResponderRaplet):
         if not descriptor.get("supports_video_b_frames", True):
             chain.append(VideoBFrameDropFilter(name=f"{self.name}-bdrop"))
         try:
-            for offset, filter_obj in enumerate(chain):
-                self.control.add(filter_obj, position=offset)
+            # One splice for the whole chain: no unit sees half of it.
+            self.control.add(chain, position=0)
         except CompositionError:
-            for filter_obj in list(self._active_filters):
-                self._safe_remove(filter_obj)
             return False
         self._active_filters = chain
         self.limits.record_action(now_s)

@@ -6,10 +6,11 @@ registry pattern as the GF(256) backends (:mod:`repro.fec.backend`):
 * :class:`ThreadedEngine` — thread per chain element (the paper's model,
   and the default);
 * :class:`EventEngine` — one cooperative scheduler thread pumping filters
-  on DIS readiness callbacks, for proxies with very many streams;
-* :class:`AsyncioEngine` — the same cooperative pump step adapted onto an
-  ``asyncio`` event loop, for proxies embedded in asyncio applications
-  (the :mod:`repro.ingress` HTTP/WebSocket front door runs on it).
+  on their readiness notifications, for proxies with very many streams;
+* :class:`AsyncioEngine` — the same cooperative scheduler core
+  (:mod:`repro.runtime.cooperative`) adapted onto an ``asyncio`` event
+  loop, for proxies embedded in asyncio applications (the
+  :mod:`repro.ingress` HTTP/WebSocket front door runs on it).
 
 Select with ``ControlThread(..., engine=...)`` / ``Proxy(..., engine=...)``
 (name or instance), the ``REPRO_ENGINE`` environment variable, or

@@ -18,9 +18,11 @@ engine is an *event-loop adapter*:
   sources) are registered with ``loop.add_reader``, so socket readiness is
   a loop callback rather than a ``select`` round of our own.
 
-Because the data plane runs the same pump step under the same readiness
-and back-pressure rules, the asyncio engine is byte-identical to the other
-two engines (pinned by ``tests/runtime/test_engine_equivalence.py`` and
+The round — readiness, pump or park, retiring finished elements — is the
+shared core in :mod:`repro.runtime.cooperative`, the same code the event
+engine runs.  Because the data plane runs the same pump step under the same
+readiness decision, the asyncio engine is byte-identical to the other two
+engines (pinned by ``tests/runtime/test_engine_equivalence.py`` and
 ``tests/transport/test_equivalence.py``).  That includes the zero-copy
 batch path: each loop wakeup moves a ``pump_budget`` of bytes-like chunks
 by reference through :meth:`Filter.transform_chunks`, so the per-wakeup
@@ -39,21 +41,15 @@ never block.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import threading
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from ..obs.metrics import register_engine as _obs_register_engine
-from .base import EngineError, ExecutionEngine
-
-#: Fallback wakeup period for the scheduler coroutine.  Every state change
-#: that can make an element ready fires a notification, so this is a
-#: lost-wakeup safety net, not a polling interval (same contract as the
-#: event engine's heartbeat).
-DEFAULT_HEARTBEAT_S = 0.5
+from .cooperative import DEFAULT_HEARTBEAT_S, CooperativeEngine
 
 
-class AsyncioEngine(ExecutionEngine):
+class AsyncioEngine(CooperativeEngine):
     """Cooperative scheduler running chain elements on an asyncio loop.
 
     One engine instance owns one event loop on one daemon thread (started
@@ -67,71 +63,24 @@ class AsyncioEngine(ExecutionEngine):
     name = "asyncio"
 
     def __init__(self, heartbeat_s: float = DEFAULT_HEARTBEAT_S) -> None:
-        if heartbeat_s <= 0:
-            raise EngineError("heartbeat_s must be positive")
-        self._heartbeat_s = heartbeat_s
+        super().__init__(heartbeat_s)
+        # Scheduler state is loop-thread-private, so the core's guard is a
+        # no-op; the dirty set is racily *read* from notifier threads as a
+        # de-duplication hint only.
+        self._guard = contextlib.nullcontext()
         # Guards lazy loop start-up and the stopping flag; never held while
         # waiting on the loop.
         self._lock = threading.Lock()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
         self._wake: Optional[asyncio.Event] = None
-        self._stopping = False
-
-        # ---- scheduler state: loop-thread-private ----
-        self._elements: List = []       # cooperatively pumped elements
-        # Dirty-set scheduling, as in the event engine: notifications mark
-        # the element whose readiness changed, so a round touches
-        # O(notified) elements.  Written on the loop thread; racily *read*
-        # from notifier threads as a de-duplication hint only.
-        self._dirty: set = set()
-        self._scan_all = False
-        # Elements whose readiness depends on another element's progress
-        # (downstream high-water, output parked across a splice);
-        # rechecked every round.
-        self._gated: set = set()
         # Paced sources parked on native loop timers: element -> TimerHandle.
         self._timers: Dict = {}
-        # Cooperative elements whose fd is registered with loop.add_reader:
-        # element -> fd.  Readable-but-unpumpable fds are moved to
-        # _suspended so they cannot spin the loop.
-        self._readers: Dict = {}
-        self._suspended: set = set()
-
-        # Scheduler metrics: plain ints written only by the loop thread
-        # (GIL-atomic reads from the scrape-time collector may lag an
-        # in-flight round, which dashboards tolerate by design).
-        self._metric_rounds = 0
-        self._metric_pumps = 0
-        self._metric_timer_fires = 0
-        self._metric_reader_wakeups = 0
-        self._metric_scan_all_rounds = 0
-        _obs_register_engine(self)
 
     # ------------------------------------------------------------- lifecycle
 
-    def start_element(self, element) -> None:
-        """Admit ``element``: pump it cooperatively, or give it a thread.
-
-        Cooperative elements are bound to this engine and handed to the
-        loop; blocking-I/O elements (``cooperative_capable = False``) start
-        their dedicated worker thread exactly as under the other engines.
-        """
-        if not getattr(element, "cooperative_capable", True):
-            with self._lock:
-                if self._stopping:
-                    raise EngineError(f"engine {self.name!r} has been shut down")
-            # A threaded sink draining its buffer must re-wake cooperative
-            # elements gated on the high-water mark: a recheck-wake
-            # suffices, since gated elements are candidates every round.
-            element.dis.subscribe(self._notify_recheck)
-            element.start()
-            return
+    def _adopt(self, element) -> None:
         with self._lock:
-            # Refuse before binding: a half-bound element could never be
-            # started on another engine (bind marks it started).
-            if self._stopping:
-                raise EngineError(f"engine {self.name!r} has been shut down")
+            self._check_open()
             self._ensure_loop()
             element.bind_engine(self)
         self._call_soon(self._admit, element)
@@ -159,9 +108,9 @@ class AsyncioEngine(ExecutionEngine):
         the dirty set directly instead.  This is not just cheaper: the
         threadsafe path writes the loop's self-pipe, and that syscall
         releases the GIL mid-listener, handing control to e.g. a splicing
-        ControlThread at an instant where the pumped element holds chunks
-        that no quiescence check can see.  The direct path keeps the pump
-        step GIL-atomic at exactly the points the event engine does.
+        ControlThread in the middle of a pump step.  The direct path keeps
+        the pump step GIL-atomic at exactly the points the event engine
+        does.
         """
         if self._on_loop_thread():
             self._dirty.add(element)
@@ -172,7 +121,6 @@ class AsyncioEngine(ExecutionEngine):
         self._call_soon(self._mark_dirty, element)
 
     def _notify_recheck(self) -> None:
-        """Wake the scheduler to recheck its gated set only (thread-safe)."""
         if self._on_loop_thread():
             self._wake_loop()
             return
@@ -233,103 +181,45 @@ class AsyncioEngine(ExecutionEngine):
 
     def _admit(self, element) -> None:
         """Take ownership of a freshly bound element (loop thread)."""
-        if element in self._elements:
-            return
-        self._elements.append(element)
-        self._dirty.add(element)
-        self._register_reader(element)
-        self._wake_loop()
+        if element not in self._elements:
+            self._enroll(element)
+            self._wake_loop()
 
     def _timer_fire(self, element) -> None:
         """A paced source's deadline arrived (loop thread)."""
         self._timers.pop(element, None)
         self._metric_timer_fires += 1
-        self._dirty.add(element)
-        self._wake_loop()
+        self._mark_dirty(element)
 
     def _fd_ready(self, element) -> None:
         """A registered fd became readable (loop thread)."""
-        self._metric_reader_wakeups += 1
-        self._dirty.add(element)
-        self._wake_loop()
+        self._metric_fd_wakeups += 1
+        self._mark_dirty(element)
 
-    # ------------------------------------------------------------ fd readers
+    def _arm_timer(self, element, due: float) -> None:
+        if element not in self._timers:
+            self._timers[element] = self._loop.call_later(
+                max(0.0, due - time.monotonic()), self._timer_fire, element)
 
-    def _register_reader(self, element) -> None:
-        """Register a cooperative element's readable fd with the loop.
+    def _cancel_timer(self, element) -> None:
+        timer = self._timers.pop(element, None)
+        if timer is not None:
+            timer.cancel()
 
-        Only elements exposing ``selectable_fileno()`` (UDP transport
-        sources) have one; everything else signals readiness through the
-        stream/receiver subscription hooks.
-        """
-        accessor = getattr(element, "selectable_fileno", None)
-        if not callable(accessor):
-            return
-        try:
-            fd = accessor()
-        except Exception:  # noqa: BLE001 - a dying element must not kill admit
-            return
-        if fd is None:
-            return
+    def _watch_fd(self, fd: int, element) -> bool:
         try:
             self._loop.add_reader(fd, self._fd_ready, element)
         except (OSError, ValueError):
-            return
-        self._readers[element] = fd
+            return False
+        return True
 
-    def _unregister_reader(self, element) -> None:
-        """Drop a finished element's fd from the loop (loop thread)."""
-        fd = self._readers.pop(element, None)
-        was_suspended = element in self._suspended
-        self._suspended.discard(element)
-        if fd is not None and not was_suspended:
-            try:
-                self._loop.remove_reader(fd)
-            except (OSError, ValueError):
-                pass
-
-    def _suspend_reader(self, element) -> None:
-        """Take a parked element's fd off the loop (loop thread).
-
-        A readable-but-unpumpable fd (boundary hold, downstream
-        high-water, parked output) would otherwise fire its callback on
-        every loop iteration — a busy spin.  The every-round gated recheck
-        still reaches the element; the fd goes back on the loop when it is
-        next pumped.
-        """
-        fd = self._readers.get(element)
-        if fd is None or element in self._suspended:
-            return
+    def _unwatch_fd(self, fd: int) -> None:
         try:
             self._loop.remove_reader(fd)
         except (OSError, ValueError):
             pass
-        self._suspended.add(element)
-
-    def _resume_reader(self, element) -> None:
-        """Put a previously suspended element's fd back on the loop."""
-        if element not in self._suspended:
-            return
-        self._suspended.discard(element)
-        fd = self._readers.get(element)
-        if fd is not None:
-            try:
-                self._loop.add_reader(fd, self._fd_ready, element)
-            except (OSError, ValueError):
-                pass
 
     # ------------------------------------------------------------ inspection
-
-    @property
-    def managed_count(self) -> int:
-        """Number of elements currently pumped by the scheduler."""
-        return len(self._elements)
-
-    @property
-    def scheduler_alive(self) -> bool:
-        """True while the engine's loop thread is running."""
-        thread = self._thread
-        return thread is not None and thread.is_alive()
 
     @property
     def loop(self) -> Optional[asyncio.AbstractEventLoop]:
@@ -340,36 +230,11 @@ class AsyncioEngine(ExecutionEngine):
         """
         return self._loop
 
-    def metrics_snapshot(self) -> dict:
-        """Counters/gauges for the scrape-time engine collector.
-
-        All values are loop-thread-private plain ints / container sizes;
-        GIL-atomic reads from the scrape thread may lag an in-flight round,
-        which dashboards tolerate by design.
-        """
-        return {
-            "counters": {
-                "scheduler_rounds": self._metric_rounds,
-                "elements_pumped": self._metric_pumps,
-                "timer_fires": self._metric_timer_fires,
-                "selector_wakeups": self._metric_reader_wakeups,
-                "scan_all_rounds": self._metric_scan_all_rounds,
-            },
-            "gauges": {
-                "dirty_depth": len(self._dirty),
-                "gated_depth": len(self._gated),
-                "managed_elements": len(self._elements),
-                "pending_timers": len(self._timers),
-            },
-        }
-
     # -------------------------------------------------------------- scheduler
 
     async def _scheduler(self) -> None:
         """The scheduler coroutine: pump rounds between awaitable waits."""
-        while True:
-            if self._stopping:
-                break
+        while not self._stopping:
             progress = self._round()
             if self._stopping:
                 break
@@ -377,8 +242,7 @@ class AsyncioEngine(ExecutionEngine):
                 # More work is already queued: yield one loop iteration so
                 # reader/timer callbacks and other tasks interleave, then
                 # run the next round without arming the heartbeat wait.
-                if self._wake is not None:
-                    self._wake.clear()
+                self._wake.clear()
                 await asyncio.sleep(0)
                 continue
             try:
@@ -392,122 +256,11 @@ class AsyncioEngine(ExecutionEngine):
             self._wake.clear()
         self._teardown()
 
-    def _round(self) -> bool:
-        """One pump round over the dirty and gated sets (loop thread)."""
-        self._metric_rounds += 1
-        if self._scan_all:
-            candidates = list(self._elements)
-            self._scan_all = False
-            self._metric_scan_all_rounds += 1
-        else:
-            candidates = list(self._dirty | self._gated)
-        self._dirty.clear()
-        progress = False
-        finished = []
-        for element in candidates:
-            if element.finished:
-                finished.append(element)
-                continue
-            try:
-                if self._ready(element):
-                    self._gated.discard(element)
-                    self._resume_reader(element)
-                    self._metric_pumps += 1
-                    progress = element.pump() or progress
-                    # A pump that consumed input or delivered output
-                    # re-marks the affected elements through the stream
-                    # listeners, so follow-on work lands back in the dirty
-                    # set by itself.
-                else:
-                    self._park(element)
-            except Exception:  # noqa: BLE001 - a dying element (teardown
-                pass           # races on its streams) must not kill the
-                               # scheduler; pump reports via element.error
-            if element.finished:
-                finished.append(element)
-        for element in finished:
-            self._retire(element)
-        return progress
-
-    def _retire(self, element) -> None:
-        self._gated.discard(element)
-        self._dirty.discard(element)
-        timer = self._timers.pop(element, None)
-        if timer is not None:
-            timer.cancel()
-        self._unregister_reader(element)
-        try:
-            self._elements.remove(element)
-        except ValueError:
-            pass
-
     def _teardown(self) -> None:
         """Release loop-held resources before the loop exits."""
-        for timer in self._timers.values():
-            timer.cancel()
-        self._timers.clear()
-        for element in list(self._readers):
-            self._unregister_reader(element)
+        for element in list(self._timers):
+            self._cancel_timer(element)
+        for element in list(self._fds):
+            self._unregister_fd(element)
         self._dirty.clear()
         self._gated.clear()
-
-    # --------------------------------------------------- readiness predicates
-
-    def _ready(self, element) -> bool:
-        """Decide whether pumping ``element`` would make progress right now.
-
-        Identical to the event engine's predicate — the two engines must
-        agree on when an element may run for the equivalence guarantee to
-        hold by construction.
-        """
-        if element.stop_requested:
-            return True
-        if element.held:
-            return False
-        if element.pending_output:
-            # Parked output can only move once the DOS is reattached.
-            return element.dos.connected
-        if element.wants_input_pump():
-            return not self._backpressured(element)
-        return False
-
-    def _park(self, element) -> None:
-        """File a not-ready element wherever its wake-up will come from.
-
-        Cross-element conditions (downstream high-water, output parked
-        across a splice) go to the every-round gated set; a paced source
-        between items goes on a native ``loop.call_later`` timer;
-        everything else is left alone — its own stream, hold or stop
-        notification re-marks it.
-        """
-        if element.stop_requested:
-            return
-        if element.held:
-            self._suspend_reader(element)
-            return
-        if element.pending_output:
-            self._gated.add(element)  # waiting on a reattach in the splice
-            self._suspend_reader(element)
-            return
-        if element.wants_input_pump():
-            if self._backpressured(element):
-                self._gated.add(element)
-                self._suspend_reader(element)
-            return
-        due = element.next_due_s()
-        if due is not None and element not in self._timers:
-            delay = max(0.0, due - time.monotonic())
-            self._timers[element] = self._loop.call_later(
-                delay, self._timer_fire, element)
-
-    @staticmethod
-    def _backpressured(element) -> bool:
-        """True while the element's downstream buffer is at/over capacity."""
-        dos = element.dos
-        if not dos.connected:
-            return False  # one transform will park in _pending; that's fine
-        sink = dos.sink
-        if sink is None:
-            return False
-        capacity = sink.buffer.capacity
-        return capacity is not None and sink.available() >= capacity

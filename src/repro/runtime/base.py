@@ -5,14 +5,20 @@ it decouples the composition layer (:mod:`repro.core.control_thread`) from
 the concurrency model, exactly as :mod:`repro.fec.backend` decouples the
 erasure code from its field algebra.  Three engines ship with the repo:
 
-* :class:`~repro.runtime.threaded.ThreadedEngine` — one worker thread per
-  chain element, the paper's original model and the reference semantics;
+* :class:`~repro.runtime.threaded.ThreadedEngine` — one thread per chain
+  element, the paper's original model;
 * :class:`~repro.runtime.event.EventEngine` — a single-threaded cooperative
-  scheduler that pumps filters only when their DIS reports readiness, for
+  scheduler that pumps filters only when they report readiness, for
   proxies hosting hundreds of concurrent streams;
 * :class:`~repro.runtime.asyncio_engine.AsyncioEngine` — the same
-  cooperative pump step hosted on an ``asyncio`` event loop, for proxies
-  embedded in asyncio applications.
+  cooperative scheduler core hosted on an ``asyncio`` event loop, for
+  proxies embedded in asyncio applications.
+
+Whatever the engine, an element runs one way: repeated calls of its
+non-blocking :meth:`~repro.core.filter.Filter.pump` step, made when its
+:meth:`~repro.core.filter.Filter.readiness` says a step would make
+progress.  Engines differ only in which thread makes those calls and how
+it waits in between.
 
 Engines are held in a process-wide registry of factories.  Selection, in
 priority order:

@@ -1,10 +1,11 @@
 """The thread-per-filter engine — the paper's original execution model.
 
-Every chain element gets its own worker thread (``Filter.start``), blocking
-reads with a polling timeout and blocking writes with buffer back-pressure.
-Simple and fully preemptive, it is the reference engine the event engine is
-equivalence-tested against, and remains the default: for a handful of
-streams its per-element isolation beats the event engine's shared scheduler.
+Every chain element gets its own thread (``Filter.start``).  The thread
+runs the same pump step the cooperative engines call, in a loop: when the
+element is not ready it sleeps on the element's wake event, which every
+readiness notification sets, or — gated on a full downstream buffer — on
+that buffer's room.  Fully preemptive, it remains the default: for a
+handful of streams its per-element isolation beats a shared scheduler.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ class ThreadedEngine(ExecutionEngine):
     name = "threaded"
 
     def __init__(self) -> None:
-        #: Worker threads launched over this engine's lifetime (plain int,
+        #: Element threads launched over this engine's lifetime (plain int,
         #: written only under the callers' composition locks).
         self.elements_started = 0
         _obs_register_engine(self)
 
     def start_element(self, element) -> None:
-        """Launch ``element``'s dedicated worker thread."""
+        """Launch ``element``'s dedicated thread."""
         element.start()
         self.elements_started += 1
 

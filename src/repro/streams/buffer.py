@@ -515,6 +515,25 @@ class StreamBuffer:
                     return False
             return True
 
+    def wait_for_room(self, timeout: Optional[float] = None) -> bool:
+        """Block while the buffer is at or over capacity.
+
+        A writer that delivers with ``force=True`` calls this before its
+        next delivery so it overshoots the capacity by at most one batch.
+        Returns ``True`` once room is available, or at once when the
+        buffer is unbounded or can take no more writes (closed or
+        broken); ``False`` on timeout.
+        """
+        with self._lock:
+            if (self._capacity is None or self._size < self._capacity
+                    or self._eof):
+                return True
+            self._writers_waiting += 1
+            try:
+                return self._not_full.wait(timeout)
+            finally:
+                self._writers_waiting -= 1
+
     def __len__(self) -> int:  # pragma: no cover - convenience
         return self.available()
 

@@ -430,9 +430,24 @@ class DetachableOutputStream(_ListenerMixin):
         The connected DIS (if any) will return its residual buffered data and
         then ``b""`` from ``read()``.
         """
+        self._close(defer_while_switching=False)
+
+    def try_close(self) -> bool:
+        """Close the stream unless it is paused for a splice.
+
+        Returns ``False`` — closing nothing — while the stream is switching:
+        a close then would hand end-of-stream to the partner being spliced
+        away, or to no partner at all.  The caller retries after the
+        reattach notification, as with :meth:`try_write`.
+        """
+        return self._close(defer_while_switching=True)
+
+    def _close(self, defer_while_switching: bool) -> bool:
         with self._lock:
             if self._closed:
-                return
+                return True
+            if defer_while_switching and self._switching:
+                return False
             self._closed = True
             sink = self._sink
             self._sink = None
@@ -442,6 +457,7 @@ class DetachableOutputStream(_ListenerMixin):
         if sink is not None:
             sink._on_source_closed()
         self._fire_listeners()
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else (

@@ -11,9 +11,9 @@ UDP sockets.
 
 Execution-engine integration:
 
-* under the threaded engine the source blocks in ``receiver.recv`` with a
-  short timeout (its dedicated thread can afford to);
-* under the event engine the source is *cooperative*: queue-backed
+* on a dedicated thread (the threaded engine) the source's pump step
+  blocks in ``receiver.recv`` with a short timeout;
+* under the cooperative engines the source is *cooperative*: queue-backed
   receivers wake the scheduler through their ``subscribe`` hook, and
   socket-backed receivers expose ``selectable_fileno`` so the engine parks
   them on its selector — N UDP streams run on one scheduler thread with no
@@ -68,7 +68,13 @@ class TransportSource(SourceEndPoint):
         return self.receiver.selectable_fileno()
 
     def wants_input_pump(self) -> bool:
-        """True when queued payloads (or EOF) make a pump worthwhile."""
+        """True when queued payloads (or EOF) make a pump worthwhile.
+
+        Always True on a dedicated thread, whose pump blocks in ``recv``:
+        socket-backed receivers signal data only to a selector.
+        """
+        if not self.cooperative:
+            return True
         return self.receiver.pending() > 0 or self.receiver.at_eof()
 
     # -- production ------------------------------------------------------------

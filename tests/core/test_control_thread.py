@@ -1,5 +1,6 @@
 """Unit tests for the ControlThread: dynamic composition on a live stream."""
 
+import threading
 import time
 
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from repro.core import (
     CollectorSink,
     CompositionError,
+    ControlThread,
     Filter,
+    FilterContainer,
     IterableSource,
     null_proxy,
 )
@@ -136,6 +139,24 @@ class TestInsertion:
         control.shutdown()
 
 
+    def test_chain_insert_is_one_splice(self):
+        """A list of filters goes in under one pause: every packet sees
+        both halves of a cipher pair or neither."""
+        packets = [f"secret-{i}".encode() for i in range(200)]
+        control, sink = build_stream(packets, pacing_s=0.0005,
+                                     frame_output=True, expect_frames=True)
+        time.sleep(0.02)
+        chain = FilterContainer([XorCipherFilter(key=b"k", name="enc"),
+                                 XorCipherFilter(key=b"k", name="dec")])
+        assert control.add(chain) == 0
+        assert control.filter_names() == ["enc", "dec"]
+        with pytest.raises(CompositionError):
+            control.add([])
+        assert control.wait_for_completion(timeout=20.0)
+        assert sink.items() == packets
+        control.shutdown()
+
+
 class TestRemoval:
     def test_remove_by_name_and_index(self):
         chunks = make_chunks(400)
@@ -169,6 +190,33 @@ class TestRemoval:
         with pytest.raises(CompositionError):
             control.remove(3)
         control.shutdown()
+
+    def test_remove_after_stream_end_still_delivers_eof(self):
+        """A filter removed after its upstream ended must forward the
+        end-of-stream it was sent before it is stopped."""
+        release = threading.Event()
+
+        class SlowFilter(Filter):
+            def transform(self, chunk):
+                release.wait(timeout=5.0)
+                return chunk
+
+        chunks = make_chunks(5)
+        source = IterableSource(list(chunks))
+        sink = CollectorSink()
+        control = ControlThread(source, sink, auto_start=False,
+                                engine="threaded")
+        control.add(SlowFilter(name="slow"))
+        control.start()
+        assert source.wait_finished(timeout=5.0)  # EOF sent, not forwarded
+        timer = threading.Timer(0.2, release.set)
+        timer.start()
+        control.remove("slow")
+        assert control.wait_for_completion(timeout=5.0)
+        assert sink.data() == b"".join(chunks)
+        control.shutdown()
+        timer.join(timeout=5.0)
+        assert not timer.is_alive()
 
     def test_insert_then_remove_mid_stream_loses_nothing(self):
         chunks = make_chunks(500)

@@ -85,8 +85,6 @@ class TestFilterLifecycle:
 
     def test_invalid_constructor_arguments(self):
         with pytest.raises(ValueError):
-            Filter(read_timeout=0)
-        with pytest.raises(ValueError):
             Filter(chunk_size=0)
 
 

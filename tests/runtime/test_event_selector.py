@@ -1,5 +1,6 @@
 """EventEngine selector integration: sockets in the dirty-set loop."""
 
+import threading
 import time
 
 from repro.core import CollectorSink, ControlThread
@@ -61,9 +62,21 @@ def test_held_selectable_fd_is_suspended_not_spun_on():
         sink = CollectorSink(expect_frames=True)
         control = ControlThread(source, sink, engine=engine)
         channel.send(b"first")
-        # Arm a hold: the very next unit parks the source mid-emit.
-        assert source.hold_at_boundary(timeout=5.0)
+        # Arm a hold: the very next unit parks the source mid-emit.  The
+        # hold waits for a unit to arrive, so it is armed from a helper
+        # thread and "second" is sent while it waits — whether or not
+        # "first" has already crossed.
+        armed = []
+        holder = threading.Thread(
+            target=lambda: armed.append(source.hold_at_boundary(timeout=5.0)))
+        holder.start()
+        deadline = time.monotonic() + 5.0
+        while (time.monotonic() < deadline
+               and source._boundary_predicate is None):
+            time.sleep(0.001)
         channel.send(b"second")  # readable fd while held
+        holder.join(timeout=10.0)
+        assert armed == [True]
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline and source not in engine._suspended:
             time.sleep(0.005)
@@ -92,9 +105,9 @@ def test_finished_elements_are_unregistered():
         channel.close()
         assert control.wait_for_completion(timeout=10.0)
         deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and engine._selectable_fds:
+        while time.monotonic() < deadline and engine._fds:
             time.sleep(0.01)
-        assert not engine._selectable_fds
+        assert not engine._fds
         control.shutdown()
     finally:
         transport.close()

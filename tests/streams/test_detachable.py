@@ -263,6 +263,17 @@ class TestClose:
         assert dis.read(10) == b""
         assert dis.closed
 
+    def test_try_close_waits_out_a_pause(self):
+        dos, first = make_pipe()
+        dos.pause()
+        assert dos.try_close() is False  # switching: nothing closed
+        assert not dos.closed and not first.at_eof()
+        second = DetachableInputStream()
+        dos.reconnect(second)
+        assert dos.try_close() is True
+        assert dos.closed and second.at_eof()
+        assert not first.at_eof()
+
     def test_pause_after_close_raises(self):
         dos, _dis = make_pipe()
         dos.close()
