@@ -96,16 +96,9 @@ class SourceEndPoint(EndPoint):
         """
         return None
 
-    def _encode(self, item: bytes) -> bytes:
-        """The wire form of one produced item (framed or raw bytes)."""
-        if self.frame_output:
-            return encode_frame(item)
-        if isinstance(item, (bytes, bytearray, memoryview)):
-            return item  # queued by reference, per the buffer's contract
-        return bytes(item)
-
     def _encode_many(self, items: List[bytes]) -> List[bytes]:
-        """The wire forms of a bulk-drawn slice; empty items are skipped."""
+        """The wire forms (framed or raw bytes) of produced items; empty
+        items are skipped, bytes-like ones are queued by reference."""
         if self.frame_output:
             return [encode_frame(item) for item in items if len(item)]
         if (all(map(isinstance, items, _REPEAT_BYTES_LIKE))
@@ -143,21 +136,26 @@ class SourceEndPoint(EndPoint):
         if item is None:
             self._exhausted = True
         elif item:
-            pending.append(self._encode(item))
-            if (not self.pacing_s and self.pump_budget > 1
-                    and (self._cooperative or self.produce_nonblocking)):
-                more = self.produce_many(self.pump_budget - 1)
-                if more is not None:
-                    pending.extend(self._encode_many(more))
-                else:
-                    for _ in range(self.pump_budget - 1):
-                        item = self.produce()
-                        if item is None:
-                            self._exhausted = True
-                            break
-                        if not item:
-                            break  # nothing available right now
-                        pending.append(self._encode(item))
+            items = [item]
+            try:
+                if (not self.pacing_s and self.pump_budget > 1
+                        and (self._cooperative or self.produce_nonblocking)):
+                    more = self.produce_many(self.pump_budget - 1)
+                    if more is not None:
+                        items.extend(more)
+                    else:
+                        for _ in range(self.pump_budget - 1):
+                            item = self.produce()
+                            if item is None:
+                                self._exhausted = True
+                                break
+                            if not item:
+                                break  # nothing available right now
+                            items.append(item)
+            finally:
+                # Items drawn before a failing produce still go out: the
+                # pump's error handler flushes what is pending.
+                pending.extend(self._encode_many(items))
             self._flush_pending()
         if self._exhausted and not pending:
             # produce() also returns None when a stop interrupts a blocking
@@ -180,28 +178,18 @@ class SourceEndPoint(EndPoint):
             return self._next_due
         return None
 
-    def _record_emit(self, data: bytes) -> None:
-        self.items_produced += 1
-        self.stats.record_output(len(data),
-                                 packets=1 if self.frame_output else 0)
-        if self.pacing_s:
-            # Absolute schedule (due += interval), not relative to the emit
-            # instant: deadlines don't drift with scheduler latency, and
-            # sources started together stay phase-aligned so one timer tick
-            # pumps the whole batch.
-            base = self._next_due if self._next_due > 0.0 else _monotonic()
-            self._next_due = base + self.pacing_s
-
     def _record_emit_batch(self, batch) -> None:
-        if self.pacing_s:
-            # Per-unit: each emit advances the pacing deadline.
-            for data in batch:
-                self._record_emit(data)
-            return
         self.items_produced += len(batch)
         self.stats.record_output_batch(
             sum(map(len, batch)), len(batch),
             packets=len(batch) if self.frame_output else 0)
+        if self.pacing_s:
+            # One interval per unit, on an absolute schedule (due +=
+            # interval), not relative to the emit instant: deadlines don't
+            # drift with scheduler latency, and sources started together
+            # stay phase-aligned so one timer tick pumps the whole batch.
+            base = self._next_due if self._next_due > 0.0 else _monotonic()
+            self._next_due = base + self.pacing_s * len(batch)
 
     def _boundary_unit(self, unit: bytes) -> bytes:
         """Boundary predicates see the produced item, not its framing."""
@@ -357,22 +345,15 @@ class SinkEndPoint(EndPoint):
             self.items_consumed += 1
 
     def transform(self, chunk: bytes):
-        if self.expect_frames:
-            for packet in self._sink_decoder.feed(chunk):
-                self.stats.record_input(0, packets=1)
-                self.consume(packet)
-                self.items_consumed += 1
-        else:
-            self.consume(chunk)
-            self.items_consumed += 1
-        return None
+        """Consume one chunk: :meth:`transform_chunks` with a batch of one."""
+        self.transform_chunks([chunk], [])
 
     def transform_chunks(self, chunks, outputs) -> None:
         """Deliver a whole input batch through :meth:`consume_many`.
 
         Deframing happens across the batch first, so a sink with a bulk
         consume (the transport sink's vectored send) receives the full
-        budget of packets in one call.  Stats match the per-chunk path.
+        budget of packets in one call.
         """
         if self.expect_frames:
             packets = []
@@ -381,8 +362,8 @@ class SinkEndPoint(EndPoint):
                 self._batch_in_chunks += 1
                 packets.extend(self._sink_decoder.feed(chunk))
             if packets:
-                self.stats.record_input_batch(0, len(packets),
-                                              packets=len(packets))
+                # Packets only: the pump already accounts the chunks.
+                self.stats.record_input_batch(0, 0, packets=len(packets))
                 self.consume_many(packets)
         else:
             # The whole batch is handed to consume_many at once, so it is

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import islice
 from time import monotonic as _monotonic
 from time import sleep as _sleep
 from typing import Callable, Deque, Iterable, List, Optional, Union
@@ -475,7 +476,7 @@ class Filter:
         detach, then drain up to a ``pump_budget`` of available input
         chunks, transform each and emit the combined results; at
         end-of-stream, finalize and complete.  A filter step never blocks —
-        output is delivered with the non-blocking ``DOS.try_write`` and
+        output is delivered with the non-blocking ``DOS.try_write_many`` and
         input is read only when the DIS reports bytes available — so any
         number of filters can be pumped from a single scheduler thread.
         (A source's step may block inside ``produce`` when it runs on its
@@ -563,7 +564,7 @@ class Filter:
         if self.dis.at_eof():
             if not self._finalized:
                 self._finalized = True
-                self._queue_outputs(self.finalize())
+                self._pending.extend(self._normalize_outputs(self.finalize()))
             self._flush_pending()
             if not self._pending:
                 self._end_stream()
@@ -590,55 +591,42 @@ class Filter:
         if self.propagate_eof and self.close_output_on_error:
             self._close_output()
 
-    def _queue_outputs(self, result: TransformResult) -> None:
-        """Normalise a transform result onto the pending-output queue."""
-        self._pending.extend(self._normalize_outputs(result))
-
     def _flush_pending(self) -> bool:
-        """Deliver queued output without blocking; True if any byte moved.
+        """Deliver queued output without blocking; True if any unit moved.
 
-        Stops (leaving the remainder queued) when the unit about to be
-        emitted satisfies an armed boundary predicate, or when the DOS is
-        detached mid-splice (retried on the reattach notification).  While
-        a hold is armed, units go out one at a time so the stream stops
-        exactly at the boundary unit.
+        One all-or-nothing ``try_write_many`` moves every queued unit before
+        the first one that satisfies an armed boundary predicate; the hold
+        then parks at that unit, so the stream stops exactly at the
+        boundary.  A DOS detached mid-splice takes nothing, and the queue is
+        retried on the reattach notification.
         """
-        progress = False
-        while self._pending:
-            with self._hold_lock:
-                predicate = self._boundary_predicate
-            if predicate is None and len(self._pending) > 1:
-                # No hold armed: move the whole parked batch in one
-                # non-blocking, all-or-nothing delivery.
-                batch = list(self._pending)
-                if not self.dos.try_write_many(batch):
-                    return progress
-                if self._held.is_set():
-                    self._held.clear()
-                self._pending.clear()
-                self._record_emit_batch(batch)
-                progress = True
-                continue
-            data = self._pending[0]
-            if (predicate is not None and not self._resume.is_set()
-                    and self._unit_matches(predicate, data)):
-                self._held.set()
-                return progress
-            if not self.dos.try_write(data):
-                return progress
+        pending = self._pending
+        if not pending:
+            return False
+        with self._hold_lock:
+            predicate = self._boundary_predicate
+        count = len(pending)
+        if predicate is not None and not self._resume.is_set():
+            count = next((i for i, unit in enumerate(pending)
+                          if self._unit_matches(predicate, unit)), count)
+        if count:
+            batch = list(islice(pending, count))
+            if not self.dos.try_write_many(batch):
+                return False
+            if count == len(pending):
+                pending.clear()
+            else:
+                for _ in range(count):
+                    pending.popleft()
             if self._held.is_set():
                 self._held.clear()
-            self._pending.popleft()
-            self._record_emit(data)
-            progress = True
-        return progress
-
-    def _record_emit(self, data: bytes) -> None:
-        """Account for one unit successfully delivered downstream."""
-        self.stats.record_output(len(data))
+            self._record_emit_batch(batch)
+        if pending:
+            self._held.set()  # parked at the boundary unit
+        return count > 0
 
     def _record_emit_batch(self, batch: List[bytes]) -> None:
-        """Account for a whole delivered batch with per-batch stats.
+        """Account for a batch delivered downstream.
 
         Sources override this to keep their per-unit bookkeeping (item
         counts, pacing deadlines) exact.
@@ -787,10 +775,14 @@ class Filter:
 class PacketFilter(Filter):
     """A filter that operates on framed packets rather than raw bytes.
 
-    Input bytes are fed through a :class:`~repro.streams.framing.FrameDecoder`;
-    each complete packet is handed to :meth:`transform_packet`, and every
-    packet returned is re-framed onto the output stream.  Byte- and
-    packet-oriented filters can therefore be mixed freely in one chain.
+    Each input batch is fed through a
+    :class:`~repro.streams.framing.FrameDecoder`; every complete packet in
+    it reaches one :meth:`transform_packets` call, and every packet returned
+    is re-framed onto the output stream.  Subclasses override
+    :meth:`transform_packet` to handle one packet at a time, or
+    :meth:`transform_packets` to fuse work across the batch (the FEC
+    filters run one vectorised encode/decode per pump budget).  Byte- and
+    packet-oriented filters can be mixed freely in one chain.
     """
 
     type_name = "packet-filter"
@@ -798,19 +790,12 @@ class PacketFilter(Filter):
     #: Result type for packet transforms: none, one, or many packets.
     PacketResult = Union[None, bytes, Iterable[bytes]]
 
-    #: When True, :meth:`transform_chunks` hands the whole batch of decoded
-    #: packets to one :meth:`transform_packets` call instead of per-packet
-    #: :meth:`transform_packet` calls — the hook the FEC filters use to run
-    #: a single vectorised encode/decode over the full pump budget.
-    fused_packet_batch = False
-
     def __init__(self, name: Optional[str] = None, chunk_size: int = 65536,
                  propagate_eof: bool = True,
                  pump_budget: Optional[int] = None) -> None:
         super().__init__(name=name, chunk_size=chunk_size,
                          propagate_eof=propagate_eof, pump_budget=pump_budget)
         self._decoder = FrameDecoder()
-        self._last_packet: Optional[bytes] = None
 
     # -- packet-level hooks ----------------------------------------------------
 
@@ -819,13 +804,20 @@ class PacketFilter(Filter):
         return packet
 
     def transform_packets(self, packets: List[bytes]) -> "PacketFilter.PacketResult":
-        """Transform a whole batch of packets at once (fused mode).
+        """Transform one batch of packets — the packet transform the pump calls.
 
-        Called instead of :meth:`transform_packet` when
-        :attr:`fused_packet_batch` is True; implementations must be
-        byte-equivalent to transforming the packets one at a time.
+        The default applies :meth:`transform_packet` to each packet and
+        yields its outputs as they are produced, so when a packet fails
+        mid-batch the outputs of the packets before it still reach the
+        stream.  An override must be byte-equivalent to transforming the
+        packets one at a time.
         """
-        raise NotImplementedError
+        for packet in packets:
+            result = self.transform_packet(packet)
+            if isinstance(result, (bytes, bytearray, memoryview)):
+                yield result
+            elif result is not None:
+                yield from result
 
     def finalize_packets(self) -> "PacketFilter.PacketResult":
         """Produce trailing packets at end-of-stream (e.g. flush FEC groups)."""
@@ -834,52 +826,45 @@ class PacketFilter(Filter):
     # -- plumbing ---------------------------------------------------------------
 
     def transform(self, chunk: bytes) -> TransformResult:
+        """Transform one chunk: :meth:`transform_chunks` with a batch of one."""
         outputs: List[bytes] = []
-        for packet in self._decoder.feed(chunk):
-            self.stats.record_input(0, packets=1)
-            outputs.extend(self._frame_all(self.transform_packet(packet)))
+        self.transform_chunks([chunk], outputs)
         return outputs
 
     def transform_chunks(self, chunks: List[bytes], outputs) -> None:
-        """Decode the whole batch to packets, then transform them fused.
-
-        With :attr:`fused_packet_batch` unset this is the per-chunk base
-        behaviour.  Fused, every complete packet in the batch reaches
-        :meth:`transform_packets` in one call — so a pump budget of FEC
-        packets hits the numpy backend as one 2D array — with stats
-        identical to the per-packet path.
+        """Deframe the whole batch, then make one :meth:`transform_packets`
+        call — so a pump budget of FEC packets hits the GF(256) backend as
+        one 2D array.  Each output packet is framed onto ``outputs`` as it
+        is produced.
         """
-        if not self.fused_packet_batch:
-            super().transform_chunks(chunks, outputs)
-            return
         packets: List[bytes] = []
         for chunk in chunks:
             self._batch_in_bytes += len(chunk)
             self._batch_in_chunks += 1
             packets.extend(self._decoder.feed(chunk))
-        if not packets:
-            return
-        # Per-packet accounting is record_input(0, packets=1) per packet,
-        # which also bumps chunks_in — mirror both in one batched call.
-        self.stats.record_input_batch(0, len(packets), packets=len(packets))
-        outputs.extend(self._frame_all(self.transform_packets(packets)))
+        if packets:
+            # Packets only: the pump already accounts the chunks.
+            self.stats.record_input_batch(0, 0, packets=len(packets))
+            self._frame_into(self.transform_packets(packets), outputs)
 
     def finalize(self) -> TransformResult:
-        return self._frame_all(self.finalize_packets())
+        outputs: List[bytes] = []
+        self._frame_into(self.finalize_packets(), outputs)
+        return outputs
 
-    def _frame_all(self, result: "PacketFilter.PacketResult") -> List[bytes]:
+    def _frame_into(self, result: "PacketFilter.PacketResult", outputs) -> None:
+        """Frame each packet of ``result`` onto ``outputs`` as it comes."""
         if result is None:
-            return []
+            return
         if isinstance(result, (bytes, bytearray, memoryview)):
-            packets: List[bytes] = [bytes(result)]
-        else:
-            packets = [bytes(item) for item in result]
-        framed = []
-        for packet in packets:
-            self._last_packet = packet
-            self.stats.record_output(0, packets=1)
-            framed.append(encode_frame(packet))
-        return framed
+            result = (result,)
+        framed = 0
+        try:
+            for packet in result:
+                outputs.append(encode_frame(packet))
+                framed += 1
+        finally:
+            self.stats.record_output_batch(0, 0, packets=framed)
 
     def is_idle(self) -> bool:
         return (super().is_idle() and not self._decoder.has_partial_frame())

@@ -39,9 +39,7 @@ class FilterStats:
     budget_exhausted: int = 0
 
     def record_input(self, nbytes: int, packets: int = 0) -> None:
-        self.chunks_in += 1
-        self.bytes_in += nbytes
-        self.packets_in += packets
+        self.record_input_batch(nbytes, 1, packets)
 
     def record_input_batch(self, nbytes: int, chunks: int, packets: int = 0) -> None:
         """Account a whole input batch with one call (per-batch, not per-chunk)."""
@@ -50,9 +48,7 @@ class FilterStats:
         self.packets_in += packets
 
     def record_output(self, nbytes: int, packets: int = 0) -> None:
-        self.chunks_out += 1
-        self.bytes_out += nbytes
-        self.packets_out += packets
+        self.record_output_batch(nbytes, 1, packets)
 
     def record_output_batch(self, nbytes: int, chunks: int, packets: int = 0) -> None:
         """Account a whole output batch with one call (per-batch, not per-chunk)."""

@@ -92,29 +92,24 @@ class FecGroupEncoder:
         return len(self._pending)
 
     def add(self, payload: bytes) -> List[FecPacket]:
-        """Add one source payload; returns the group's packets when full.
+        """Add one source payload: :meth:`add_batch` with a batch of one.
 
         Until ``k`` payloads have accumulated the return value is an empty
         list; on the ``k``-th payload the full group of ``n`` packets is
         returned (data packets first, then parity).
         """
-        if payload is None:
-            raise ValueError("payload must be bytes, not None")
-        self._pending.append(bytes(payload))
-        self.stats.payloads_in += 1
-        if len(self._pending) < self._code.k:
-            return []
-        return self._encode_group()
+        return self.add_batch((payload,))
 
     def add_batch(self, payloads: Sequence[bytes]) -> List[FecPacket]:
         """Add many payloads at once; returns the packets of every group
         the batch completed.
 
-        Byte- and stats-identical to calling :meth:`add` per payload, but
-        all groups filled by the batch are parity-encoded *fused*: groups
+        All groups filled by the batch are parity-encoded *fused*: groups
         sharing a block size are hstacked into one ``(k, G*L)`` array and
         encoded by a single backend product (parity is a columnwise linear
         map, so the fused product is byte-for-byte the per-group results).
+        How a payload sequence is split into batches never changes the
+        packets or the stats.
         """
         k = self._code.k
         groups: List[Tuple[int, List[bytes]]] = []
@@ -145,12 +140,6 @@ class FecGroupEncoder:
         for pos, blocks in enumerate(padded):
             cohorts.setdefault(len(blocks[0]), []).append(pos)
         for block_size, members in cohorts.items():
-            if len(members) == 1:
-                pos = members[0]
-                parity = self._code.encode_parity_batch(_as_batch(padded[pos]))
-                parity_out[pos] = [parity[i].tobytes()
-                                   for i in range(parity.shape[0])]
-                continue
             stacked = np.hstack([_as_batch(padded[pos]) for pos in members])
             parity = self._code.encode_parity_batch(stacked)
             for j, pos in enumerate(members):
@@ -159,18 +148,6 @@ class FecGroupEncoder:
                 parity_out[pos] = [parity[i, lo:hi].tobytes()
                                    for i in range(parity.shape[0])]
         return parity_out
-
-    def _encode_group(self) -> List[FecPacket]:
-        payloads, self._pending = self._pending, []
-        group_id = self._next_group_id
-        self._next_group_id += 1
-        block_size = block_size_for(payloads)
-        blocks = [pad_block(p, block_size) for p in payloads]
-        # One vectorised batch product yields every parity block; the data
-        # packets reuse the padded source blocks directly.
-        parity = self._code.encode_parity_batch(_as_batch(blocks))
-        parity_blocks = [parity[i].tobytes() for i in range(parity.shape[0])]
-        return self._packets_for(group_id, blocks, parity_blocks)
 
     def _packets_for(self, group_id: int, blocks: List[bytes],
                      parity_blocks: List[bytes]) -> List[FecPacket]:
@@ -227,7 +204,6 @@ class _GroupState:
     k: int
     n: int
     received: Dict[int, bytes] = field(default_factory=dict)
-    uncoded: Dict[int, bytes] = field(default_factory=dict)
     delivered: bool = False
 
 
@@ -239,7 +215,6 @@ class _PendingDecode:
     n: int
     received: Dict[int, bytes]
     payloads: List[bytes] = field(default_factory=list)
-    chosen: List[int] = field(default_factory=list)
     data_received: int = 0
 
 
@@ -262,7 +237,6 @@ class FecGroupDecoder:
         self._groups: Dict[int, _GroupState] = {}
         self._max_tracked = max_tracked_groups
         self._backend = resolve_backend(backend)
-        self._codes: Dict[Tuple[int, int], BlockErasureCode] = {}
         self.stats = FecDecoderStats()
 
     @property
@@ -270,61 +244,33 @@ class FecGroupDecoder:
         """Name of the GF(256) backend decoding this stream."""
         return self._backend.name
 
-    def _code_for(self, k: int, n: int) -> BlockErasureCode:
-        code = self._codes.get((k, n))
-        if code is None:
-            code = BlockErasureCode(k, n, backend=self._backend)
-            self._codes[(k, n)] = code
-        return code
-
     def add(self, packet: FecPacket) -> List[bytes]:
-        """Process one received packet; returns recovered payloads (if any)."""
-        self.stats.packets_in += 1
-        if packet.is_uncoded:
-            self.stats.uncoded_packets_in += 1
-            self.stats.payloads_out += 1
-            return [packet.payload]
-
-        if packet.is_parity:
-            self.stats.parity_packets_in += 1
-        else:
-            self.stats.data_packets_in += 1
-
-        state = self._groups.get(packet.group_id)
-        if state is None:
-            state = _GroupState(k=packet.k, n=packet.n)
-            self._groups[packet.group_id] = state
-            self.stats.groups_seen += 1
-            self._evict_if_needed()
-        if state.delivered:
-            return []
-        if packet.k != state.k or packet.n != state.n:
-            raise FecCodingError(
-                f"group {packet.group_id} has inconsistent (n, k) parameters")
-        state.received.setdefault(packet.index, packet.payload)
-
-        if len(state.received) < state.k:
-            return []
-        return self._deliver(packet.group_id, state)
+        """Process one received packet: :meth:`add_batch` with a batch of
+        one.  Returns the payloads it made recoverable (if any)."""
+        return self.add_batch((packet,))
 
     def add_batch(self, packets: Sequence[FecPacket]) -> List[bytes]:
         """Process many received packets at once.
 
-        Byte-, order- and stats-identical to calling :meth:`add` per packet
-        and concatenating the results, but the algebra for every group the
-        batch completes runs *fused*: groups that chose the same encoded
-        indices (the common case — a clean stream always decodes from the
-        k data indices, a uniformly lossy one from the same survivor set)
-        are hstacked and reconstructed by one backend product.
+        Payloads come out in the order their groups became decodable.  The
+        algebra for every group the batch completes runs *fused*: groups
+        that chose the same encoded indices (the common case — a clean
+        stream always decodes from the k data indices, a uniformly lossy
+        one from the same survivor set) are hstacked and reconstructed by
+        one backend product.  How a packet sequence is split into batches
+        never changes the payloads or the stats.
+
+        Packets are network input: inconsistent ``(n, k)`` parameters within
+        a group or an index outside ``[0, n)`` raise :class:`FecCodingError`.
         """
-        deliveries: List[Tuple[str, object]] = []
+        deliveries: List[Union[bytes, _PendingDecode]] = []
         pending_decodes: List[_PendingDecode] = []
         for packet in packets:
             self.stats.packets_in += 1
             if packet.is_uncoded:
                 self.stats.uncoded_packets_in += 1
                 self.stats.payloads_out += 1
-                deliveries.append(("payloads", [packet.payload]))
+                deliveries.append(packet.payload)
                 continue
             if packet.is_parity:
                 self.stats.parity_packets_in += 1
@@ -341,27 +287,31 @@ class FecGroupDecoder:
             if packet.k != state.k or packet.n != state.n:
                 raise FecCodingError(
                     f"group {packet.group_id} has inconsistent (n, k) parameters")
+            if not 0 <= packet.index < state.n:
+                raise FecCodingError(
+                    f"group {packet.group_id}: packet index {packet.index} "
+                    f"outside [0, {state.n})")
             state.received.setdefault(packet.index, packet.payload)
             if len(state.received) < state.k:
                 continue
             # The group became decodable: snapshot it and mark it delivered
-            # *now*, so a late same-batch packet is dropped exactly as the
-            # sequential path drops it; the algebra itself is deferred so
+            # *now*, so a late same-batch packet is dropped as a late packet
+            # of a later batch would be; the algebra itself is deferred so
             # same-shaped groups decode fused below.
             pending = _PendingDecode(k=state.k, n=state.n,
                                      received=state.received)
             state.delivered = True
             state.received = {}
             pending_decodes.append(pending)
-            deliveries.append(("group", pending))
+            deliveries.append(pending)
         if pending_decodes:
             self._decode_pending(pending_decodes)
         out: List[bytes] = []
-        for kind, value in deliveries:
-            if kind == "group":
-                out.extend(value.payloads)
+        for item in deliveries:
+            if isinstance(item, _PendingDecode):
+                out.extend(item.payloads)
             else:
-                out.extend(value)
+                out.append(item)
         return out
 
     def _decode_pending(self, pending_decodes: List[_PendingDecode]) -> None:
@@ -385,19 +335,11 @@ class FecGroupDecoder:
             parity_indices = sorted(i for i in received if i >= pending.k)
             chosen = (data_indices + parity_indices)[:pending.k]
             chosen.sort()
-            pending.chosen = chosen
             pending.data_received = len(data_indices)
             key = (pending.k, pending.n, tuple(chosen),
                    len(received[chosen[0]]))
             cohorts.setdefault(key, []).append(pending)
         for (k, n, chosen, _length), members in cohorts.items():
-            if len(members) == 1:
-                pending = members[0]
-                code = self._code_for(k, n)
-                blocks = code.decode(pending.received)
-                pending.payloads = [unpad_block(block) for block in blocks]
-                self._count_decoded(pending, pending.data_received)
-                continue
             self._decode_cohort(k, n, list(chosen), members)
 
     def _decode_cohort(self, k: int, n: int, chosen: List[int],
@@ -425,26 +367,12 @@ class FecGroupDecoder:
             self._count_decoded(pending, pending.data_received)
 
     def _count_decoded(self, pending: _PendingDecode, data_received: int) -> None:
-        """The delivery-time stats of :meth:`_deliver`, for one fused group."""
+        """The delivery-time stats of one decoded group."""
         self.stats.groups_decoded += 1
         if data_received < pending.k:
             self.stats.groups_repaired += 1
             self.stats.payloads_recovered += pending.k - data_received
         self.stats.payloads_out += len(pending.payloads)
-
-    def _deliver(self, group_id: int, state: _GroupState) -> List[bytes]:
-        code = self._code_for(state.k, state.n)
-        blocks = code.decode(state.received)
-        payloads = [unpad_block(block) for block in blocks]
-        data_received = sum(1 for i in state.received if i < state.k)
-        state.delivered = True
-        state.received.clear()
-        self.stats.groups_decoded += 1
-        if data_received < state.k:
-            self.stats.groups_repaired += 1
-            self.stats.payloads_recovered += state.k - data_received
-        self.stats.payloads_out += len(payloads)
-        return payloads
 
     def flush(self) -> List[bytes]:
         """Surrender data packets from groups that never became decodable.

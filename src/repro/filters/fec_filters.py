@@ -48,10 +48,6 @@ class FecEncoderFilter(PacketFilter):
 
     type_name = "fec-encoder"
 
-    #: One fused gather-XOR pass per pump budget: every group completed by
-    #: the batch reaches the numpy backend as a single 2D array.
-    fused_packet_batch = True
-
     def __init__(self, k: int = PAPER_FEC_K, n: int = PAPER_FEC_N,
                  name: Optional[str] = None,
                  start_group_id: Optional[int] = None,
@@ -70,9 +66,11 @@ class FecEncoderFilter(PacketFilter):
         return self._encoder.stats
 
     def transform_packet(self, packet: bytes) -> List[bytes]:
-        return [fec_packet.pack() for fec_packet in self._encoder.add(packet)]
+        return self.transform_packets([packet])
 
     def transform_packets(self, packets: List[bytes]) -> List[bytes]:
+        """One fused gather-XOR pass per batch: every group the batch
+        completes reaches the GF(256) backend as a single 2D array."""
         return [fec_packet.pack()
                 for fec_packet in self._encoder.add_batch(packets)]
 
@@ -97,11 +95,6 @@ class FecDecoderFilter(PacketFilter):
 
     type_name = "fec-decoder"
 
-    #: Batch the decode too: consecutive runs of valid FEC packets in one
-    #: pump budget reach the group decoder (and its fused reconstruction)
-    #: as a single call.
-    fused_packet_batch = True
-
     def __init__(self, name: Optional[str] = None,
                  passthrough_unknown: bool = True,
                  max_tracked_groups: int = 1024,
@@ -118,14 +111,11 @@ class FecDecoderFilter(PacketFilter):
         return self._group_decoder.stats
 
     def transform_packet(self, packet: bytes) -> List[bytes]:
-        try:
-            fec_packet = FecPacket.unpack(packet)
-        except FecPacketError:
-            self.unknown_packets += 1
-            return [packet] if self.passthrough_unknown else []
-        return self._group_decoder.add(fec_packet)
+        return self.transform_packets([packet])
 
     def transform_packets(self, packets: List[bytes]) -> List[bytes]:
+        """Consecutive runs of valid FEC packets reach the group decoder
+        (and its fused reconstruction) as a single call."""
         outputs: List[bytes] = []
         run: List[FecPacket] = []
         for packet in packets:

@@ -153,34 +153,30 @@ class StreamBuffer:
         closed for writing, :class:`BrokenStreamError` if the reader side
         was torn down, and :class:`StreamTimeoutError` on timeout.
 
-        A bytes-like payload (``bytes``, ``bytearray``, ``memoryview``)
-        that fits the available room is queued by reference — no copy is
-        made; it becomes the unit an aligned read pops back out, and the
-        writer must not mutate it afterwards.  Only a write squeezed
-        through a nearly full bounded buffer splits the payload, as O(1)
-        views into the caller's object.
+        A bytes-like payload (``bytes``, ``bytearray``, ``memoryview``) is
+        queued by reference — no copy is made; it becomes the unit an
+        aligned read pops back out, and the writer must not mutate it
+        afterwards.  Only a payload larger than the whole capacity is split,
+        as O(1) views into the caller's object.
 
         With ``force=True`` the capacity bound is ignored and the call never
         blocks: the bytes are appended even if the buffer overshoots its
         capacity.  Cooperative schedulers use this so a pump step can never
         deadlock on a full pipe; they bound memory with high-water-mark
         scheduling instead of blocking (see :mod:`repro.runtime.event`).
+        A batch of one :meth:`write_chunks`.
         """
-        if not data:
-            return 0
-        if not isinstance(data, _BYTES_LIKE):
-            data = bytes(data)
-        with self._lock:
-            return self._write_locked(data, timeout, force)
+        return self.write_chunks((data,), timeout, force)
 
     def write_chunks(self, chunks: Iterable[bytes], timeout: Optional[float] = None,
                      force: bool = False) -> int:
         """Append many chunks under a single lock acquisition.
 
-        Each chunk is queued exactly as :meth:`write` would queue it (by
-        reference, preserving chunk identity for the aligned read path);
-        the blocking, timeout, closed and broken semantics are per chunk
-        and identical to :meth:`write`.  Returns the total bytes written.
+        Each chunk is queued by reference, preserving chunk identity for
+        the aligned read path.  A batch that fits the capacity waits for
+        room and goes in whole; a larger one is squeezed in chunk by chunk.
+        Raises as :meth:`write` does, and :class:`ValueError` for a ``None``
+        chunk.  Returns the total bytes written.
         """
         if not isinstance(chunks, (list, tuple)):
             chunks = list(chunks)
@@ -229,6 +225,8 @@ class StreamBuffer:
                         f"{self._name}: timed out waiting for buffer space")
             total = 0
             for data in chunks:
+                if data is None:
+                    raise ValueError("chunks must be bytes, not None")
                 if not data:
                     continue
                 if not isinstance(data, _BYTES_LIKE):

@@ -71,6 +71,8 @@ def _any_payload(batch) -> bool:
     try:
         return any(map(len, batch))
     except TypeError:
+        if None in batch:
+            raise ValueError("chunks must be bytes, not None") from None
         # Unsized items get materialised by the buffer; treat as payload.
         return True
 
@@ -243,33 +245,19 @@ class DetachableOutputStream(_ListenerMixin):
         detached, the call blocks until a reconnect occurs, for at most
         ``timeout`` seconds (default: the stream's ``reconnect_wait``).
         Raises :class:`StreamClosedError` if the stream has been closed and
-        :class:`NotConnectedError` if no partner appears in time.
+        :class:`NotConnectedError` if no partner appears in time.  A batch
+        of one :meth:`write_many`.
         """
-        if data is None:
-            raise ValueError("data must be bytes, not None")
-        if not data:
-            return 0
-        wait = self._reconnect_wait if timeout is None else timeout
-        # The delivery into the sink's buffer happens while holding this
-        # DOS's lock so that a concurrent pause() (which also takes the lock)
-        # cannot observe an empty buffer *between* our connectivity check and
-        # our receive() call — pause() therefore always drains every byte of
-        # an in-flight write before declaring the pipe quiescent.
-        with self._lock:
-            sink = self._wait_for_sink(wait)
-            written = sink.receive(data)
-            self._bytes_written += written
-        return written
+        return self.write_many((data,), timeout)
 
     def write_many(self, chunks: Iterable[bytes], timeout: Optional[float] = None) -> int:
         """Write a batch of chunks under one lock/connectivity round-trip.
 
-        Each chunk is delivered to the sink exactly as a :meth:`write` of
-        it would be (blocking through pauses and buffer back-pressure, with
-        the same error semantics), but connectivity is checked and the DOS
-        and buffer locks are taken once per *batch* rather than once per
-        chunk — the hot-path saving that makes multi-chunk filter pumps
-        cheap.  Returns the total number of bytes written.
+        Blocks through pauses and buffer back-pressure, like :meth:`write`,
+        but connectivity is checked and the DOS and buffer locks are taken
+        once per *batch* rather than once per chunk — the hot-path saving
+        that makes multi-chunk filter pumps cheap.  Returns the total number
+        of bytes written; a ``None`` chunk raises :class:`ValueError`.
         """
         if chunks is None:
             raise ValueError("chunks must be an iterable of bytes, not None")
@@ -277,21 +265,22 @@ class DetachableOutputStream(_ListenerMixin):
             chunks = list(chunks)
         # Empties are skipped by the buffer itself; only an effectively
         # empty batch short-circuits here (before any reconnect wait).
-        batch = chunks
-        if not batch or not _any_payload(batch):
+        if not chunks or not _any_payload(chunks):
             return 0
         wait = self._reconnect_wait if timeout is None else timeout
-        # Delivery happens under this DOS's lock for the same reason as in
-        # write(): a concurrent pause() must drain every byte of an
-        # in-flight batch before declaring the pipe quiescent.
+        # The delivery into the sink's buffer happens while holding this
+        # DOS's lock so that a concurrent pause() (which also takes the lock)
+        # cannot observe an empty buffer *between* our connectivity check and
+        # our receive call — pause() therefore always drains every byte of
+        # an in-flight batch before declaring the pipe quiescent.
         with self._lock:
             sink = self._wait_for_sink(wait)
             # Account by the sink's own counter delta so chunks delivered
             # before a mid-batch failure (reader torn down) are still
-            # counted, as they would be by per-chunk write() calls.
+            # counted.
             before = sink.bytes_received
             try:
-                written = sink.receive_many(batch)
+                written = sink.receive_many(chunks)
             finally:
                 self._bytes_written += sink.bytes_received - before
         return written
@@ -307,28 +296,16 @@ class DetachableOutputStream(_ListenerMixin):
         cooperative pump can never deadlock against its own downstream;
         memory is bounded by the scheduler's high-water-mark gating rather
         than by blocking.  Raises :class:`StreamClosedError` once closed.
+        A batch of one :meth:`try_write_many`.
         """
-        if data is None:
-            raise ValueError("data must be bytes, not None")
-        if not data:
-            return True
-        with self._lock:
-            if self._closed:
-                raise StreamClosedError(f"{self.name}: write on closed stream")
-            sink = self._sink
-            if not self._connected or sink is None:
-                return False
-            written = sink.receive(data, force=True)
-            self._bytes_written += written
-        return True
+        return self.try_write_many((data,))
 
     def try_write_many(self, chunks: Iterable[bytes]) -> bool:
         """Deliver a batch of chunks without ever blocking (all-or-nothing).
 
-        The batch counterpart of :meth:`try_write`: returns ``False`` —
-        with *no* chunk delivered — when the stream is momentarily
-        detached, so the caller can retain the whole batch and retry after
-        a reattach notification.  On success every chunk is force-delivered
+        Returns ``False`` — with *no* chunk delivered — when the stream is
+        momentarily detached, so the caller can retain the whole batch and
+        retry after a reattach notification.  On success every chunk is force-delivered
         into the sink's buffer under a single lock round-trip.  Raises
         :class:`StreamClosedError` once closed.
         """
@@ -336,8 +313,7 @@ class DetachableOutputStream(_ListenerMixin):
             raise ValueError("chunks must be an iterable of bytes, not None")
         if not isinstance(chunks, (list, tuple)):
             chunks = list(chunks)
-        batch = chunks
-        if not batch or not _any_payload(batch):
+        if not chunks or not _any_payload(chunks):
             return True
         with self._lock:
             if self._closed:
@@ -345,7 +321,7 @@ class DetachableOutputStream(_ListenerMixin):
             sink = self._sink
             if not self._connected or sink is None:
                 return False
-            written = sink.receive_many(batch, force=True)
+            written = sink.receive_many(chunks, force=True)
             self._bytes_written += written
         return True
 
@@ -595,22 +571,17 @@ class DetachableInputStream(_ListenerMixin):
         Called by :meth:`DetachableOutputStream.write`; exposed publicly so
         EndPoints and tests can inject data directly, exactly as the paper's
         ``DIS.receive()`` is callable from the DOS.  ``force=True`` bypasses
-        the capacity bound (see :meth:`StreamBuffer.write`).
+        the capacity bound (see :meth:`StreamBuffer.write`).  A batch of one
+        :meth:`receive_many`.
         """
-        if self._closed:
-            raise StreamClosedError(f"{self.name}: receive on closed stream")
-        written = self._buffer.write(data, timeout=timeout, force=force)
-        if written:
-            self._fire_listeners()
-        return written
+        return self.receive_many((data,), timeout, force)
 
     def receive_many(self, chunks: Iterable[bytes], timeout: Optional[float] = None,
                      force: bool = False) -> int:
         """Accept a batch of chunks from the writing side into the buffer.
 
-        The batch counterpart of :meth:`receive`: one buffer lock
-        acquisition queues every chunk, and subscribers are notified once
-        per batch rather than once per chunk.
+        One buffer lock acquisition queues every chunk, and subscribers are
+        notified once per batch rather than once per chunk.
         """
         if self._closed:
             raise StreamClosedError(f"{self.name}: receive on closed stream")

@@ -15,9 +15,16 @@ from repro.obs.events import (
 
 
 def _wait_for_restart(handle, old_pid, timeout=20.0):
+    """Wait for the restart to complete, not just for the new process.
+
+    The new pid and connection appear before the restart replays the
+    worker's streams; the worker-restart event is logged only after that.
+    """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if handle.pid != old_pid and handle.connection is not None:
+        if (handle.pid != old_pid and handle.connection is not None
+                and get_event_log().records(event=EVENT_WORKER_RESTART,
+                                            cid=handle.correlation_id)):
             return True
         time.sleep(0.05)
     return False

@@ -131,9 +131,13 @@ class TestInsertion:
         packets = [f"secret-{i}".encode() for i in range(50)]
         source = IterableSource(packets, frame_output=True, pacing_s=0.002)
         sink = CollectorSink(expect_frames=True)
-        control = null_proxy(source, sink)
+        # Composed before start: two separate live adds would let packets
+        # cross enc alone in between (test_chain_insert_is_one_splice
+        # covers the live pair, spliced atomically).
+        control = ControlThread(source, sink, auto_start=False)
         control.add(XorCipherFilter(key=b"k", name="enc"))
         control.add(XorCipherFilter(key=b"k", name="dec"))
+        control.start()
         assert control.wait_for_completion(timeout=20.0)
         assert sink.items() == packets
         control.shutdown()

@@ -291,6 +291,17 @@ class PacketDoubler(PacketFilter):
         return [packet, packet]
 
 
+class MarkerExplodingPacketFilter(PacketFilter):
+    """Passes packets through until it sees the marker, then raises."""
+
+    type_name = "marker-exploding-packet"
+
+    def transform_packet(self, packet):
+        if packet == b"BOOM":
+            raise RuntimeError("boom")
+        return packet
+
+
 class TestPacketFilter:
     def _wire(self, filter_obj):
         from repro.streams import DetachableInputStream, DetachableOutputStream
@@ -330,6 +341,58 @@ class TestPacketFilter:
         snap = f.stats.snapshot()
         assert snap["packets_in"] == 3
         assert snap["packets_out"] == 6
+
+    def test_mid_batch_packet_error_keeps_prior_outputs(self):
+        """A packet transform failing at packet k of a batch must still
+        deliver the outputs of packets 1..k-1."""
+        f = MarkerExplodingPacketFilter()
+        writer, reader, up = self._wire(f)
+        # One frame per chunk, queued before start so one budgeted read
+        # drains all three in a single pump step.
+        for packet in (b"first", b"second", b"BOOM"):
+            up.write(encode_frame(packet))
+        f.start()
+        assert f.wait_finished(timeout=5.0)
+        assert isinstance(f.error, RuntimeError)
+        assert reader.read_all(timeout=1.0) == [b"first", b"second"]
+
+    def test_mid_batch_packet_error_keeps_prior_outputs_cooperative(self):
+        class StubEngine:
+            def notify_element(self, element):
+                pass
+
+        f = MarkerExplodingPacketFilter()
+        writer, reader, up = self._wire(f)
+        for packet in (b"first", b"second", b"BOOM"):
+            up.write(encode_frame(packet))
+        f.bind_engine(StubEngine())
+        while not f.finished:
+            f.pump()
+        assert isinstance(f.error, RuntimeError)
+        assert reader.read_all(timeout=1.0) == [b"first", b"second"]
+
+    def test_chunks_and_packets_are_conserved_across_every_hop(self):
+        """Source -> packet filter -> framed sink: what one hop emits is
+        what the next hop takes in, counted once per chunk and once per
+        packet (no per-packet chunk on top of the pump's per-chunk count)."""
+        from repro.core import CollectorSink, ControlThread, IterableSource
+
+        items = [f"item-{i}".encode() for i in range(10)]
+        source = IterableSource(items, frame_output=True)
+        f = PacketFilter(name="pf")
+        sink = CollectorSink(expect_frames=True)
+        control = ControlThread(source, sink, auto_start=False)
+        control.add(f)
+        control.start()
+        assert control.wait_for_completion(timeout=10.0)
+        assert sink.items() == items
+        hops = [source.stats.snapshot(), f.stats.snapshot(),
+                sink.stats.snapshot()]
+        for upstream, downstream in zip(hops, hops[1:]):
+            assert upstream["chunks_out"] == downstream["chunks_in"] == 10
+            assert upstream["packets_out"] == downstream["packets_in"] == 10
+            assert upstream["bytes_out"] == downstream["bytes_in"]
+        control.shutdown()
 
     def test_frames_split_across_chunks_are_reassembled(self):
         f = PacketFilter(chunk_size=3)  # force tiny reads

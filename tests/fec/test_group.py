@@ -229,3 +229,37 @@ class TestGroupDecoder:
         from repro.fec import FecCodingError
         with pytest.raises(FecCodingError):
             decoder.add(FecPacket(group_id=1, index=1, k=3, n=6, payload=pad_block(b"y", 4)))
+
+    @staticmethod
+    def _forged_group(group_id):
+        """Three genuine data packets plus one claiming index 9 of n=6."""
+        blocks = [pad_block(bytes([group_id, i]), 4) for i in range(4)]
+        packets = [FecPacket(group_id=group_id, index=i, k=4, n=6,
+                             payload=blocks[i]) for i in range(3)]
+        packets.append(FecPacket(group_id=group_id, index=9, k=4, n=6,
+                                 payload=blocks[3]))
+        return packets
+
+    def test_forged_index_in_a_batch_of_one_raises_coding_error(self):
+        from repro.fec import FecCodingError
+        decoder = FecGroupDecoder()
+        for packet in self._forged_group(1)[:3]:
+            assert decoder.add(packet) == []
+        with pytest.raises(FecCodingError, match="index 9"):
+            decoder.add(self._forged_group(1)[3])
+
+    def test_forged_index_in_a_fused_batch_raises_coding_error(self):
+        # Two same-shaped groups would decode as one fused cohort; the
+        # forged index must be rejected as a coding error, not surface as
+        # an IndexError from the decode matrix.
+        from repro.fec import FecCodingError
+        decoder = FecGroupDecoder()
+        with pytest.raises(FecCodingError, match="index 9"):
+            decoder.add_batch(self._forged_group(1) + self._forged_group(2))
+
+    def test_negative_index_raises_coding_error(self):
+        from repro.fec import FecCodingError
+        decoder = FecGroupDecoder()
+        with pytest.raises(FecCodingError):
+            decoder.add(FecPacket(group_id=1, index=-1, k=4, n=6,
+                                  payload=pad_block(b"x", 4)))

@@ -1,16 +1,27 @@
-"""Property tests: fused-batch FEC is byte-identical to the per-packet path.
+"""Property tests: fused-batch FEC is byte-identical to per-group coding.
 
 The batch pump feeds the FEC layer through :meth:`FecGroupEncoder.add_batch`
 and :meth:`FecGroupDecoder.add_batch`, which fuse same-shaped groups into a
-single GF(256) backend product.  The fusing is an optimisation only: over
-random group geometries (k, n, payload sizes, batch split points, loss
-patterns, arrival order) the batched calls must produce byte-for-byte the
-packets/payloads — and the same stats — as one call per packet.
+single GF(256) backend product (``add`` is a batch of one).  The fusing is an
+optimisation only: over random group geometries (k, n, payload sizes, batch
+split points, loss patterns, arrival order) the batched calls must produce
+byte-for-byte the packets/payloads of an independent per-group oracle built
+from :meth:`BlockErasureCode.encode` / :meth:`BlockErasureCode.decode` — and
+the same stats as one call per packet.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.fec import FecGroupDecoder, FecGroupEncoder
+from repro.fec import (
+    FLAG_PARITY,
+    FLAG_UNCODED,
+    BlockErasureCode,
+    FecGroupDecoder,
+    FecGroupEncoder,
+    FecPacket,
+    pad_block,
+    unpad_block,
+)
 
 # Random group geometry: small codes keep hypothesis fast while still
 # exercising k == n (no parity), single-payload groups, and ragged sizes.
@@ -26,8 +37,56 @@ def packet_key(packet):
             bytes(packet.payload), packet.flags)
 
 
+def oracle_encode(payloads, k, n):
+    """Reference encode, one group at a time: every full group of ``k``
+    payloads is padded to its own block size and encoded alone; a trailing
+    partial group goes out uncoded."""
+    code = BlockErasureCode(k, n)
+    packets = []
+    full = len(payloads) - len(payloads) % k
+    for group_id, start in enumerate(range(0, full, k)):
+        group = payloads[start:start + k]
+        block_size = max(len(p) for p in group) + 2
+        blocks = code.encode([pad_block(p, block_size) for p in group])
+        packets.extend(
+            FecPacket(group_id=group_id, index=index, k=k, n=n, payload=block,
+                      flags=FLAG_PARITY if index >= k else 0)
+            for index, block in enumerate(blocks))
+    packets.extend(
+        FecPacket(group_id=full // k, index=index, k=k, n=n, payload=payload,
+                  flags=FLAG_UNCODED)
+        for index, payload in enumerate(payloads[full:]))
+    return packets
+
+
+def oracle_decode(packets):
+    """Reference decode, one group at a time, in arrival order: a group is
+    decoded alone the moment any k of its packets are in, later packets of
+    it are dropped, uncoded packets pass straight through, and the flush
+    surrenders the data packets of groups that never became decodable."""
+    out, received, delivered = [], {}, set()
+    for packet in packets:
+        if packet.is_uncoded:
+            out.append(packet.payload)
+            continue
+        if packet.group_id in delivered:
+            continue
+        group = received.setdefault(packet.group_id, {})
+        group.setdefault(packet.index, packet.payload)
+        if len(group) == packet.k:
+            code = BlockErasureCode(packet.k, packet.n)
+            out.extend(unpad_block(block) for block in code.decode(group))
+            delivered.add(packet.group_id)
+            del received[packet.group_id]
+    for group_id in sorted(received):
+        group = received[group_id]
+        k = next(p.k for p in packets if p.group_id == group_id)
+        out.extend(unpad_block(group[i]) for i in sorted(group) if i < k)
+    return out
+
+
 def encode_all(payloads, k, n):
-    """Reference encode: one ``add`` per payload, then flush."""
+    """One ``add`` per payload, then flush: the per-unit stats reference."""
     encoder = FecGroupEncoder(k=k, n=n)
     packets = []
     for payload in payloads:
@@ -41,7 +100,10 @@ class TestEncoderBatchEquivalence:
     @settings(deadline=None, max_examples=60)
     def test_add_batch_matches_per_payload_add(self, code, payloads):
         k, n = code
-        expected, expected_stats = encode_all(payloads, k, n)
+        expected = oracle_encode(payloads, k, n)
+        per_unit, expected_stats = encode_all(payloads, k, n)
+        assert [packet_key(p) for p in per_unit] == \
+            [packet_key(p) for p in expected]
         batched = FecGroupEncoder(k=k, n=n)
         packets = batched.add_batch(payloads)
         packets.extend(batched.flush())
@@ -57,7 +119,8 @@ class TestEncoderBatchEquivalence:
         # split points, including splits inside a group) is equivalent to
         # one big batch: the encoder's pending state carries across calls.
         k, n = code
-        expected, expected_stats = encode_all(payloads, k, n)
+        expected = oracle_encode(payloads, k, n)
+        _, expected_stats = encode_all(payloads, k, n)
         batched = FecGroupEncoder(k=k, n=n)
         packets = []
         for start in range(0, len(payloads), step):
@@ -76,7 +139,7 @@ class TestEncoderBatchEquivalence:
         # between cohorts.
         k, n = code
         ragged = [p * (1 + i % 3) for i, p in enumerate(payloads)]
-        expected, _ = encode_all(ragged, k, n)
+        expected = oracle_encode(ragged, k, n)
         batched = FecGroupEncoder(k=k, n=n)
         packets = batched.add_batch(ragged)
         packets.extend(batched.flush())
@@ -90,17 +153,19 @@ class TestDecoderBatchEquivalence:
     def test_add_batch_matches_per_packet_add_under_loss(self, code, payloads,
                                                          rng):
         k, n = code
-        packets, _ = encode_all(payloads, k, n)
+        packets = oracle_encode(payloads, k, n)
         # Random loss and reordering: any subset, any arrival order.  The
-        # two decoders see the identical packet sequence.
+        # decoders and the oracle see the identical packet sequence.
         survivors = [p for p in packets if rng.random() > 0.3]
         rng.shuffle(survivors)
+        expected = oracle_decode(survivors)
 
         sequential = FecGroupDecoder()
-        expected = []
+        per_unit = []
         for packet in survivors:
-            expected.extend(sequential.add(packet))
-        expected.extend(sequential.flush())
+            per_unit.extend(sequential.add(packet))
+        per_unit.extend(sequential.flush())
+        assert [bytes(p) for p in per_unit] == [bytes(p) for p in expected]
 
         batched = FecGroupDecoder()
         out = batched.add_batch(survivors)
@@ -146,13 +211,15 @@ class TestDecoderBatchEquivalence:
         # group state carries across add_batch calls exactly as it does
         # across add calls (a group may fill in a later batch).
         k, n = code
-        packets, _ = encode_all(payloads, k, n)
+        packets = oracle_encode(payloads, k, n)
         survivors = [p for p in packets if rng.random() > 0.3]
         rng.shuffle(survivors)
 
         one_shot = FecGroupDecoder()
         expected = one_shot.add_batch(survivors)
         expected.extend(one_shot.flush())
+        assert [bytes(p) for p in expected] == \
+            [bytes(p) for p in oracle_decode(survivors)]
 
         chunked = FecGroupDecoder()
         out = []

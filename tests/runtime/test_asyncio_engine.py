@@ -192,8 +192,9 @@ class TestEngineLifecycle:
         engine = AsyncioEngine()
         source = IterableSource(make_chunks(10))
         sink = CollectorSink()
-        control = ControlThread(source, sink, engine=engine)
+        control = ControlThread(source, sink, engine=engine, auto_start=False)
         control.add(PassthroughFilter(name="f"))
+        control.start()
         control.wait_for_completion(timeout=5.0)
         control.shutdown()
         engine.shutdown()
@@ -214,9 +215,10 @@ class TestEngineLifecycle:
     def test_finished_elements_are_deregistered(self, engine):
         source = IterableSource(make_chunks(10))
         sink = CollectorSink()
-        control = ControlThread(source, sink, engine=engine)
+        control = ControlThread(source, sink, engine=engine, auto_start=False)
         f = PassthroughFilter(name="f")
         control.add(f)
+        control.start()
         assert control.wait_for_completion(timeout=5.0)
         deadline = time.monotonic() + 5.0
         while engine.managed_count and time.monotonic() < deadline:
@@ -228,8 +230,9 @@ class TestEngineLifecycle:
         proxy = Proxy("owner", engine="asyncio")
         source = IterableSource(make_chunks(10))
         sink = CollectorSink()
-        control = proxy.add_stream(source, sink, name="s")
+        control = proxy.add_stream(source, sink, name="s", auto_start=False)
         control.add(PassthroughFilter(name="f"))
+        control.start()
         assert control.wait_for_completion(timeout=5.0)
         proxy.shutdown()
         assert not proxy.engine.scheduler_alive
@@ -237,8 +240,9 @@ class TestEngineLifecycle:
     def test_metrics_snapshot_shape(self, engine):
         source = IterableSource(make_chunks(50))
         sink = CollectorSink()
-        control = ControlThread(source, sink, engine=engine)
+        control = ControlThread(source, sink, engine=engine, auto_start=False)
         control.add(PassthroughFilter(name="f"))
+        control.start()
         assert control.wait_for_completion(timeout=10.0)
         snap = engine.metrics_snapshot()
         for counter in ("scheduler_rounds", "elements_pumped", "timer_fires",

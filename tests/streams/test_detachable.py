@@ -49,6 +49,17 @@ class TestConnect:
         with pytest.raises(ValueError):
             dos.connect(None)
 
+    def test_writing_none_raises_before_any_reconnect_wait(self):
+        # A detached DOS would otherwise block for its reconnect wait.
+        dos = DetachableOutputStream(reconnect_wait=30.0)
+        for write in (dos.write, dos.try_write,
+                      lambda data: dos.write_many([data])):
+            with pytest.raises(ValueError):
+                write(None)
+        dos, _dis = make_pipe()
+        with pytest.raises(ValueError):
+            dos.write_many([b"abc", None])
+
     def test_make_pipe_returns_connected_pair(self):
         dos, dis = make_pipe("test")
         dos.write(b"abc")
